@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race zero-alloc chaos chaos-restart chaos-cluster chaos-mesh fuzz-smoke search-smoke verify bench bench-baseline bench-compare clean
+.PHONY: build vet test race cluster-stress zero-alloc chaos chaos-restart chaos-cluster chaos-mesh fuzz-smoke search-smoke verify bench clean
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,9 @@ test:
 # experiment engine, the fast-forward/per-cycle equivalence, the chaos
 # harness (fault injection + checker + watchdog under -race), the
 # telemetry rings shared across concurrent runs and snapshot readers,
-# and the span ring under concurrent writers and scrapers.
+# the span ring under concurrent writers and scrapers, concurrent
+# submissions of one idempotency key (ten rounds), and the cluster's
+# routing, tracing and partition paths.
 race:
 	$(GO) test -race -count=1 -run 'Parallel|Sweep|LogMode|Cancel|SharedFlight' ./internal/exp/
 	$(GO) test -race -count=1 -run 'FastForward|Chaos|TelemetryShared' ./internal/sim/
@@ -25,7 +27,13 @@ race:
 	$(GO) test -race -count=1 ./internal/chaosnet/
 	$(GO) test -race -count=1 ./internal/errfs/
 	$(GO) test -race -count=1 ./internal/server/
-	$(GO) test -race -count=1 -run 'Trace|Keepalive|Partition|Slowloris' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'IdempotencyKeyConcurrent' ./internal/server/
+	$(GO) test -race -count=1 -run 'Trace|Keepalive|Partition|Slowloris|Placement|Search' ./internal/cluster/
+
+# The whole cluster package five times on one OS thread: membership
+# and admission races that a many-core machine hides show up here.
+cluster-stress:
+	GOMAXPROCS=1 $(GO) test -count=5 ./internal/cluster/
 
 # Hard zero-cost gate for disabled tracing: every nil-tracer call path
 # must stay at exactly 0 allocs/op (the bench-guard CI step runs this).
@@ -96,27 +104,10 @@ search-smoke:
 # verify is the tier-1 gate plus the race and chaos smokes.
 verify: vet build test race zero-alloc chaos
 
-# Scaled-down figure + ablation + micro benchmarks.
+# Scaled-down figure + ablation + micro benchmarks. End-to-end and
+# per-layer performance is measured by bench/erucaperf (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Record simulator-throughput numbers (instrs/s, buscycles, allocs/op)
-# for PR-over-PR comparison.
-bench-baseline:
-	$(GO) test -run '^$$' -bench SimThroughput -benchtime 3x . \
-		| tee /tmp/eruca_simthroughput.txt
-	awk -f scripts/bench_json.awk /tmp/eruca_simthroughput.txt > BENCH_baseline.json
-	cat BENCH_baseline.json
-
-# Re-run the throughput benchmarks and diff against BENCH_baseline.json,
-# failing on regressions beyond BENCH_TOLERANCE percent (default 10) or
-# on any simulated bus-cycle drift.
-BENCH_TOLERANCE ?= 10
-bench-compare:
-	$(GO) test -run '^$$' -bench SimThroughput -benchtime 3x . \
-		| tee /tmp/eruca_simthroughput_fresh.txt
-	awk -v tol=$(BENCH_TOLERANCE) -f scripts/bench_delta.awk \
-		BENCH_baseline.json /tmp/eruca_simthroughput_fresh.txt
 
 clean:
 	rm -f cpu.pprof mem.pprof

@@ -278,9 +278,8 @@ func BenchmarkWorkloadGen(b *testing.B) {
 // Alongside the throughput numbers it reports the deterministic
 // mechanism counters of the measured run (plane-conflict precharges,
 // EWLR hits, RAP redirects, DDB bus cycles saved). Like buscycles,
-// these are simulation *results*, not speeds: `make bench-compare`
-// (scripts/bench_delta.awk) fails on ANY drift in them regardless of
-// the throughput tolerance, pinning mechanism behavior PR over PR.
+// these are simulation *results*, not speeds. The benchmark of record,
+// with exact-count goldens gated in CI, is bench/erucaperf.
 func BenchmarkSimThroughput(b *testing.B) {
 	const simInstrs = 50_000
 	benches := []string{"mcf", "lbm", "omnetpp", "gemsFDTD"}

@@ -89,7 +89,7 @@ func TestClusterPartitionTolerance(t *testing.T) {
 
 	// The lease lapses and the sweeper evicts w2.
 	deadline = time.Now().Add(15 * time.Second)
-	for coord.ring.Has("w2") {
+	for coord.has("w2") {
 		if time.Now().After(deadline) {
 			t.Fatal("partitioned member was never evicted")
 		}
@@ -120,7 +120,7 @@ func TestClusterPartitionTolerance(t *testing.T) {
 	mesh.Heal("w2", "c")
 	mesh.Heal("w2", "w1")
 	deadline = time.Now().Add(15 * time.Second)
-	for !coord.ring.Has("w2") {
+	for !coord.has("w2") {
 		if time.Now().After(deadline) {
 			t.Fatal("healed member never rejoined the ring")
 		}

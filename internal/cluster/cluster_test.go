@@ -24,6 +24,12 @@ type testNode struct {
 	peerBase string // peer protocol base URL
 }
 
+// has reports whether id is in the node's membership view.
+func (tn *testNode) has(id string) bool {
+	_, ok := tn.view.Load().member(id)
+	return ok
+}
+
 // nodeMod adjusts the cluster and/or server config of a test member
 // before boot (tracer, SSE cadence, chaos mesh, ...).
 type nodeMod func(id string, cc *Config, sc *server.Config)
@@ -79,7 +85,7 @@ func startNode(t *testing.T, id, joinURL string, ttl time.Duration, started bool
 }
 
 // startCluster boots a coordinator plus workers-1 worker members and
-// waits until every member sees the full ring.
+// waits until every member's view holds all of them.
 func startCluster(t *testing.T, members int, ttl time.Duration, mods ...nodeMod) []*testNode {
 	t.Helper()
 	nodes := []*testNode{startNode(t, "c", "", ttl, true, mods...)}
@@ -88,9 +94,9 @@ func startCluster(t *testing.T, members int, ttl time.Duration, mods ...nodeMod)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for _, n := range nodes {
-		for n.ring.Len() != members {
+		for len(n.view.Load().members) != members {
 			if time.Now().After(deadline) {
-				t.Fatalf("node %s sees %d members, want %d", n.cfg.NodeID, n.ring.Len(), members)
+				t.Fatalf("node %s sees %d members, want %d", n.cfg.NodeID, len(n.view.Load().members), members)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -108,7 +114,7 @@ func specOwnedBy(t *testing.T, n *testNode, owner string) server.JobSpec {
 	t.Helper()
 	for seed := int64(1); seed < 10_000; seed++ {
 		spec := specN(seed)
-		if n.ring.Owner(spec.Hash()) == owner {
+		if ownerID(n.view.Load(), spec.Hash()) == owner {
 			return spec
 		}
 	}
@@ -209,7 +215,7 @@ func TestClusterPlacementAndProxy(t *testing.T) {
 		if code != http.StatusAccepted && code != http.StatusOK {
 			t.Fatalf("submit seed %d: status %d", seed, code)
 		}
-		wantOwner := nodes[0].ring.Owner(spec.Hash())
+		wantOwner := ownerID(nodes[0].view.Load(), spec.Hash())
 		if got := nodeOf(v.ID); got != wantOwner {
 			t.Errorf("seed %d placed on %s, ring owner is %s", seed, got, wantOwner)
 		}
@@ -376,7 +382,7 @@ func TestClusterEvictionMigratesJobs(t *testing.T) {
 	// already — the coordinator cannot know without heartbeats, so it
 	// re-homes them regardless; determinism makes the re-run identical.)
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.ring.Has("w2") {
+	for coord.has("w2") {
 		if time.Now().After(deadline) {
 			t.Fatal("doomed member was never evicted")
 		}
@@ -394,9 +400,35 @@ func TestClusterEvictionMigratesJobs(t *testing.T) {
 	if n := scrapeMetric(t, coord.base, "eruca_cluster_jobs_migrated"); n < 2 {
 		t.Errorf("eruca_cluster_jobs_migrated = %d, want >= 2", n)
 	}
-	if coord.ring.Has("w2") {
-		t.Error("evicted member still in the coordinator's ring")
+	if coord.has("w2") {
+		t.Error("evicted member still in the coordinator's view")
 	}
+}
+
+// TestCoordinatorJoinPublishesView: a join is in the coordinator's view
+// the moment join returns. The ring owner of a key comes with its
+// addresses, so routing never finds an owner it cannot reach while it
+// waits for a heartbeat.
+func TestCoordinatorJoinPublishesView(t *testing.T) {
+	n, err := New(Config{NodeID: "c", PublicAddr: "a:0", PeerAddr: "p:0", LeaseTTL: time.Minute},
+		server.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Server().Close() })
+	n.coord.join(joinRequest{Node: "c", Addr: "a:0", Peer: "p:0"})
+	n.coord.join(joinRequest{Node: "w1", Addr: "a:1", Peer: "p:1"})
+
+	v := n.view.Load()
+	for _, k := range ringKeys(100) {
+		if m, _ := v.owner(k); m.ID == "w1" {
+			if m.Addr != "a:1" || m.Peer != "p:1" {
+				t.Fatalf("owner of %s is %+v, want w1 at a:1 / p:1", k, m)
+			}
+			return
+		}
+	}
+	t.Fatal("w1 owns none of 100 keys")
 }
 
 // TestCoordinatorRestoreFromJournal folds a synthetic journal back into
@@ -424,8 +456,8 @@ func TestCoordinatorRestoreFromJournal(t *testing.T) {
 	}
 	n.coord.restore(recs)
 
-	if got := n.ring.Members(); len(got) != 2 || got[0] != "c" || got[1] != "w1" {
-		t.Fatalf("restored ring = %v, want [c w1]", got)
+	if got := n.view.Load().members; len(got) != 2 || got[0].ID != "c" || got[1].ID != "w1" || got[1].Addr != "a:1" {
+		t.Fatalf("restored view = %+v, want [c w1@a:1]", got)
 	}
 	rr, err := n.coord.resolve("w2-job-000001")
 	if err != nil {

@@ -9,14 +9,14 @@ import (
 )
 
 // coordinator is the cluster's control plane, embedded in exactly one
-// node. It grants and sweeps heartbeat leases, owns the authoritative
-// ring, tracks where every non-terminal job lives (placements), and —
-// the robustness headline — re-enqueues a dead member's jobs on
-// survivors, pointing them at the checkpoint blobs the member
-// replicated before dying. Every state change is journaled through the
-// host server's WAL, so a coordinator restart reconstructs membership,
-// placements, and migration aliases the same way the job layer replays
-// its queue.
+// node. It grants and sweeps heartbeat leases (the lease table is the
+// membership every node's view is built from), tracks where every
+// non-terminal job lives (placements), and — the robustness headline —
+// re-enqueues a dead member's jobs on survivors, pointing them at the
+// checkpoint blobs the member replicated before dying. Every state
+// change is journaled through the host server's WAL, so a coordinator
+// restart reconstructs membership, placements, and migration aliases
+// the same way the job layer replays its queue.
 type coordinator struct {
 	node   *Node
 	leases *leaseTable
@@ -45,11 +45,15 @@ type placement struct {
 }
 
 func newCoordinator(n *Node) *coordinator {
-	return &coordinator{
+	c := &coordinator{
 		node:       n,
 		leases:     newLeaseTable(n.cfg.LeaseTTL),
 		placements: make(map[string]*placement),
 	}
+	// The coordinator's own view is rebuilt inside every lease-table
+	// change (join, evict, leave, journal restore), never on a timer.
+	c.leases.publish = n.setView
+	return c
 }
 
 // restore folds the journal's cluster records back into membership and
@@ -62,10 +66,8 @@ func (c *coordinator) restore(recs []server.ClusterRecord) {
 		switch rec.Kind {
 		case "join":
 			c.leases.Join(rec.Node, rec.Addr, rec.Peer)
-			c.node.ring.Add(rec.Node)
 		case "evict":
 			c.leases.Drop(rec.Node)
-			c.node.ring.Remove(rec.Node)
 		case "place":
 			if rec.Spec == nil {
 				continue
@@ -88,7 +90,7 @@ func (c *coordinator) restore(recs []server.ClusterRecord) {
 			c.mu.Unlock()
 		}
 	}
-	if n := c.node.ring.Len(); n > 0 {
+	if n := len(c.node.view.Load().members); n > 0 {
 		c.node.log().Info("coordinator state restored from journal",
 			"members", n, "placements", len(c.placements))
 	}
@@ -119,14 +121,13 @@ func (c *coordinator) snapshot() []server.ClusterRecord {
 	return recs
 }
 
-// join grants (or re-grants) a lease and installs the member in the
-// ring.
+// join grants (or re-grants) a lease; the lease table publishes the
+// coordinator's new view before it returns.
 func (c *coordinator) join(req joinRequest) joinResponse {
 	l := c.leases.Join(req.Node, req.Addr, req.Peer)
-	c.node.ring.Add(req.Node)
 	_ = c.node.srv.JournalCluster(server.ClusterRecord{Kind: "join", Node: req.Node, Addr: req.Addr, Peer: req.Peer, Epoch: l.Epoch})
 	c.node.log().Info("member joined", "member", req.Node, "addr", req.Addr, "peer", req.Peer, "epoch", l.Epoch)
-	return joinResponse{Epoch: l.Epoch, TTLMS: c.node.cfg.LeaseTTL.Milliseconds(), Members: c.members()}
+	return joinResponse{Epoch: l.Epoch, TTLMS: c.node.cfg.LeaseTTL.Milliseconds(), Members: c.node.view.Load().members}
 }
 
 // heartbeat renews the lease and reconciles the member's job report
@@ -162,7 +163,7 @@ func (c *coordinator) heartbeat(req heartbeatRequest) (heartbeatResponse, error)
 	for _, id := range finished {
 		_ = c.node.srv.JournalCluster(server.ClusterRecord{Kind: "unplace", Job: id})
 	}
-	return heartbeatResponse{Members: c.members()}, nil
+	return heartbeatResponse{Members: c.node.view.Load().members}, nil
 }
 
 // place records job placements (from heartbeats or eager admit
@@ -189,16 +190,6 @@ func (c *coordinator) place(node string, jobs []jobReport) {
 	}
 }
 
-// members renders the lease table as the wire member list.
-func (c *coordinator) members() []Member {
-	ls := c.leases.Members()
-	out := make([]Member, len(ls))
-	for i, l := range ls {
-		out[i] = Member{ID: l.Node, Addr: l.Addr, Peer: l.Peer}
-	}
-	return out
-}
-
 // sweep is one lease-expiry pass plus a retry of pending migrations.
 // Called from the coordinator loop every TTL/4.
 func (c *coordinator) sweep() {
@@ -214,10 +205,10 @@ func (c *coordinator) sweep() {
 	}
 }
 
-// evict removes a dead (or departing) member and re-enqueues its
+// evict records the removal of a dead (or departing) member, whose
+// lease is already gone from the table, and re-enqueues its
 // non-terminal jobs on survivors.
 func (c *coordinator) evict(l lease, why string) {
-	c.node.ring.Remove(l.Node)
 	c.node.metrics.nodesEvicted.Add(1)
 	_ = c.node.srv.JournalCluster(server.ClusterRecord{Kind: "evict", Node: l.Node})
 	c.node.log().Warn("member evicted", "member", l.Node, "reason", why, "epoch", l.Epoch)
@@ -234,10 +225,10 @@ func (c *coordinator) evict(l lease, why string) {
 	}
 }
 
-// migrate re-enqueues one orphaned job on the survivor the ring now
+// migrate re-enqueues one orphaned job on the survivor the view now
 // assigns its hash to, shedding along the successor list when that
-// survivor is unreachable. The request lands through SubmitMigrated on
-// the survivor — past its admission bound, because this work was
+// survivor is unreachable. The request lands through a migrated Submit
+// on the survivor — past its admission bound, because this work was
 // already acknowledged cluster-side — and the survivor's simulation
 // resumes from the blob the dead node replicated (read-through in the
 // server's checkpoint loader). Failure leaves the placement on the
@@ -252,20 +243,20 @@ func (c *coordinator) migrate(p *placement) {
 	defer ms.End()
 	req := migrateRequest{Job: p.Job, Hash: p.Hash, Idem: p.Idem, Spec: p.Spec, From: p.Node,
 		Traceparent: ms.Context().Traceparent()}
-	for _, target := range c.node.ring.Successors(p.Hash, c.node.ring.Len()) {
+	for _, target := range c.node.view.Load().successors(p.Hash) {
 		newID, err := c.node.sendMigrate(target, req)
 		if err != nil {
-			c.node.log().Warn("migrate attempt failed", "job_id", p.Job, "target", target, "err", err)
+			c.node.log().Warn("migrate attempt failed", "job_id", p.Job, "target", target.ID, "err", err)
 			continue
 		}
 		c.mu.Lock()
-		p.NewNode, p.NewID = target, newID
+		p.NewNode, p.NewID = target.ID, newID
 		c.mu.Unlock()
 		c.node.metrics.jobsMigrated.Add(1)
-		_ = c.node.srv.JournalCluster(server.ClusterRecord{Kind: "migrate", Node: target, Job: p.Job, NewID: newID})
-		ms.SetAttr("to", target)
+		_ = c.node.srv.JournalCluster(server.ClusterRecord{Kind: "migrate", Node: target.ID, Job: p.Job, NewID: newID})
+		ms.SetAttr("to", target.ID)
 		ms.SetAttr("new_id", newID)
-		c.node.log().Info("job migrated", "job_id", p.Job, "target", target, "new_id", newID)
+		c.node.log().Info("job migrated", "job_id", p.Job, "target", target.ID, "new_id", newID)
 		return
 	}
 	ms.SetError(fmt.Errorf("no survivor accepted the job"))

@@ -42,15 +42,11 @@ func (n *Node) evalRemote(ctx context.Context, spec server.JobSpec) (string, boo
 		return "", false, nil
 	}
 	hash := spec.Hash()
-	owner := n.ring.Owner(hash)
-	if owner == "" || owner == n.cfg.NodeID {
+	owner, ok := n.view.Load().owner(hash)
+	if !ok || owner.ID == n.cfg.NodeID {
 		return "", false, nil
 	}
-	m, ok := n.member(owner)
-	if !ok {
-		return "", false, nil
-	}
-	br := n.breakers.For(m.Addr)
+	br := n.breakers.For(owner.Addr)
 	if !br.Allow() {
 		return "", false, nil
 	}
@@ -58,7 +54,7 @@ func (n *Node) evalRemote(ctx context.Context, spec server.JobSpec) (string, boo
 	if err != nil {
 		return "", false, nil
 	}
-	req, err := http.NewRequestWithContext(ctx, "POST", "http://"+m.Addr+"/v1/jobs", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, "POST", "http://"+owner.Addr+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return "", false, nil
 	}
@@ -66,7 +62,7 @@ func (n *Node) evalRemote(ctx context.Context, spec server.JobSpec) (string, boo
 	// and is injected into the owner's submission, so the remote eval's
 	// admit/run spans join the search job's trace.
 	fs := n.tracer.Start(obs.FromContext(ctx), obs.KindEvalFanout, "eval fan-out")
-	fs.SetAttr("owner", owner)
+	fs.SetAttr("owner", owner.ID)
 	defer fs.End()
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(forwardedHeader, n.cfg.NodeID)
@@ -115,7 +111,7 @@ func (n *Node) evalRemote(ctx context.Context, spec server.JobSpec) (string, boo
 		if interval *= 2; interval > evalPollMax {
 			interval = evalPollMax
 		}
-		v, err = n.fetchEvalView(ctx, m.Addr, v.ID)
+		v, err = n.fetchEvalView(ctx, owner.Addr, v.ID)
 		if err != nil {
 			if ctx.Err() != nil {
 				return "", false, ctx.Err()

@@ -102,7 +102,7 @@ func (n *Node) handleResolve(w http.ResponseWriter, r *http.Request) {
 	writePeerJSON(w, rr)
 }
 
-// handleMigrate adopts an evicted node's job: SubmitMigrated bypasses
+// handleMigrate adopts an evicted node's job: a migrated Submit bypasses
 // the admission bound (the cluster already accepted this work) and the
 // simulation resumes from the replicated checkpoint via the server's
 // read-through loader.
@@ -111,7 +111,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if !decodeInto(w, r, &req) {
 		return
 	}
-	j, _, err := n.srv.SubmitMigrated(req.Spec, req.Idem, req.From, obs.ParseTraceparent(req.Traceparent))
+	j, err := n.submitMigrated(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
@@ -214,7 +214,7 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 		"node":    n.cfg.NodeID,
 		"role":    role,
 		"epoch":   n.epoch.Load(),
-		"members": n.Members(),
+		"members": n.view.Load().members,
 	})
 }
 
@@ -238,8 +238,9 @@ func (n *Node) routeSubmit(w http.ResponseWriter, r *http.Request, inner http.Ha
 		return
 	}
 	hash := spec.Hash()
-	owner := n.ring.Owner(hash)
-	if owner == "" || owner == n.cfg.NodeID {
+	v := n.view.Load()
+	owner, ok := v.owner(hash)
+	if !ok || owner.ID == n.cfg.NodeID {
 		inner.ServeHTTP(w, r)
 		return
 	}
@@ -248,17 +249,13 @@ func (n *Node) routeSubmit(w http.ResponseWriter, r *http.Request, inner http.Ha
 	// the shed-local submission — so the remote admit continues one
 	// connected trace.
 	fs := n.tracer.Start(obs.Extract(r.Header), obs.KindForward, "forward submit")
-	fs.SetAttr("owner", owner)
+	fs.SetAttr("owner", owner.ID)
 	defer fs.End()
 	// Try the owner, then its successors; every transport failure trips
 	// the peer's breaker so later submissions skip it immediately.
-	for _, target := range n.ring.Successors(hash, n.ring.Len()) {
-		if target == n.cfg.NodeID {
+	for _, m := range v.successors(hash) {
+		if m.ID == n.cfg.NodeID {
 			break // reached ourselves in shed order: accept locally
-		}
-		m, ok := n.member(target)
-		if !ok {
-			continue
 		}
 		br := n.breakers.For(m.Addr)
 		if !br.Allow() {
@@ -274,12 +271,12 @@ func (n *Node) routeSubmit(w http.ResponseWriter, r *http.Request, inner http.Ha
 		resp, err := n.client.Do(req)
 		if err != nil {
 			br.Failure()
-			n.log().Warn("submit forward failed", "target", target, "err", err)
+			n.log().Warn("submit forward failed", "target", m.ID, "err", err)
 			continue
 		}
 		br.Success()
 		n.metrics.forwarded.Add(1)
-		fs.SetAttr("target", target)
+		fs.SetAttr("target", m.ID)
 		// Relay whatever the owner said — including 429: the owner's
 		// admission decision is authoritative for its shard.
 		relay(w, resp)
@@ -299,7 +296,7 @@ func (n *Node) routeJob(w http.ResponseWriter, r *http.Request, inner http.Handl
 		inner.ServeHTTP(w, r)
 		return
 	}
-	if m, ok := n.member(owner); ok {
+	if m, ok := n.view.Load().member(owner); ok {
 		if n.proxyTo(w, r, m.Addr, id, id) {
 			return
 		}

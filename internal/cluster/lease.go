@@ -35,10 +35,14 @@ type lease struct {
 	Expires time.Time
 }
 
-// leaseTable tracks every member's lease under one TTL.
+// leaseTable tracks every member's lease under one TTL. It is the
+// cluster's one membership source: publish, when set, receives the
+// member list after every join and removal, under the table's lock so
+// concurrent changes publish in the order they happened.
 type leaseTable struct {
-	ttl time.Duration
-	now func() time.Time
+	ttl     time.Duration
+	now     func() time.Time
+	publish func([]Member)
 
 	mu     sync.Mutex
 	leases map[string]*lease
@@ -57,6 +61,7 @@ func (t *leaseTable) Join(node, addr, peer string) lease {
 	t.epoch++
 	l := &lease{Node: node, Addr: addr, Peer: peer, Epoch: t.epoch, Expires: t.now().Add(t.ttl)}
 	t.leases[node] = l
+	t.changed()
 	return *l
 }
 
@@ -86,6 +91,9 @@ func (t *leaseTable) Expired() []lease {
 			delete(t.leases, node)
 		}
 	}
+	if len(out) > 0 {
+		t.changed()
+	}
 	return out
 }
 
@@ -99,7 +107,20 @@ func (t *leaseTable) Drop(node string) (lease, bool) {
 		return lease{}, false
 	}
 	delete(t.leases, node)
+	t.changed()
 	return *l, true
+}
+
+// changed hands the current member list to publish. Callers hold t.mu.
+func (t *leaseTable) changed() {
+	if t.publish == nil {
+		return
+	}
+	ms := make([]Member, 0, len(t.leases))
+	for _, l := range t.leases {
+		ms = append(ms, Member{ID: l.Node, Addr: l.Addr, Peer: l.Peer})
+	}
+	t.publish(ms)
 }
 
 // Get returns a member's lease.

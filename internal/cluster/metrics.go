@@ -15,7 +15,7 @@ func (n *Node) collectMetrics(buf *server.MetricsBuf) {
 	if n.coord != nil {
 		role = 1
 	}
-	buf.Gauge("eruca_cluster_members", "Live members in this node's ring view.", int64(n.ring.Len()))
+	buf.Gauge("eruca_cluster_members", "Live members in this node's ring view.", int64(len(n.view.Load().members)))
 	buf.Gauge("eruca_cluster_is_coordinator", "1 on the coordinator, 0 on workers.", role)
 	buf.Counter("eruca_cluster_jobs_migrated", "Jobs re-homed onto survivors after an eviction.", n.metrics.jobsMigrated.Load())
 	buf.Counter("eruca_cluster_nodes_evicted", "Members evicted after missing their lease deadline.", n.metrics.nodesEvicted.Load())

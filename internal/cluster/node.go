@@ -4,9 +4,10 @@
 // internal/server, and the cluster layer adds
 //
 //   - placement: submissions are routed by spec content hash over a
-//     consistent-hash ring, so duplicate submissions land on the same
-//     node and collapse in its singleflight runner — cluster-wide dedup
-//     out of the single-node mechanism;
+//     consistent-hash ring, part of each node's immutable membership
+//     view, so duplicate submissions land on the same node and collapse
+//     in its singleflight runner — cluster-wide dedup out of the
+//     single-node mechanism;
 //   - a sharded result cache: each node's content-addressed cache holds
 //     its ring shard, with read-through to the hash's owner on miss;
 //   - leases: workers prove liveness by heartbeat; a member that misses
@@ -76,8 +77,11 @@ type Config struct {
 type Node struct {
 	cfg    Config
 	srv    *server.Server
-	ring   *ring
 	tracer *obs.Tracer // the server's tracer (nil when tracing is off)
+
+	// view is the current membership: the coordinator publishes it from
+	// its lease table, a worker from each join and heartbeat response.
+	view atomic.Pointer[view]
 
 	coord *coordinator // non-nil on the coordinator
 
@@ -86,11 +90,8 @@ type Node struct {
 	breakers retry.Breakers
 	metrics  clusterMetrics
 
-	// Worker-side view of the cluster.
-	viewMu  sync.RWMutex
-	members map[string]Member
-	epoch   atomic.Int64
-	joined  atomic.Bool
+	epoch  atomic.Int64
+	joined atomic.Bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -169,14 +170,13 @@ func New(cfg Config, scfg server.Config) (*Node, error) {
 	}
 	cfg.Log = cfg.Log.With("node", cfg.NodeID)
 	n := &Node{
-		cfg:     cfg,
-		tracer:  scfg.Tracer,
-		members: make(map[string]Member),
-		ring:    newRing(),
-		client:  peerClient(cfg, false),
-		proxy:   peerClient(cfg, true),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		tracer: scfg.Tracer,
+		client: peerClient(cfg, false),
+		proxy:  peerClient(cfg, true),
+		stop:   make(chan struct{}),
 	}
+	n.view.Store(newView(nil))
 	cfg.Chaos.Bind(cfg.NodeID, cfg.PublicAddr, cfg.PeerAddr)
 	n.breakers.Threshold = 3
 	n.breakers.Cooldown = cfg.LeaseTTL
@@ -303,7 +303,6 @@ func (n *Node) Start() {
 		// heartbeats itself through direct calls (no HTTP loopback).
 		resp := n.coord.join(joinRequest{Node: n.cfg.NodeID, Addr: n.cfg.PublicAddr, Peer: n.cfg.PeerAddr})
 		n.epoch.Store(resp.Epoch)
-		n.adoptMembers(resp.Members)
 		n.joined.Store(true)
 		n.wg.Add(1)
 		go n.coordinatorLoop()
@@ -347,9 +346,9 @@ func (n *Node) coordinatorLoop() {
 	}
 }
 
-// heartbeatLoop renews this member's lease every TTL/4 and keeps the
-// membership view fresh. A worker that has not joined yet (or was
-// evicted — lease epoch rejected) joins first.
+// heartbeatLoop renews this member's lease every TTL/4; on a worker
+// each renewal also refreshes the membership view. A worker that has
+// not joined yet (or was evicted — lease epoch rejected) joins first.
 func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
 	interval := n.cfg.LeaseTTL / 4
@@ -363,11 +362,9 @@ func (n *Node) heartbeatLoop() {
 			return
 		}
 		if n.coord != nil {
-			// Local coordinator: renew + reconcile directly.
-			resp, err := n.coord.heartbeat(heartbeatRequest{Node: n.cfg.NodeID, Epoch: n.epoch.Load(), Jobs: n.jobReports()})
-			if err == nil {
-				n.adoptMembers(resp.Members)
-			}
+			// Local coordinator: renew + reconcile directly. Its view
+			// already tracks the lease table.
+			_, _ = n.coord.heartbeat(heartbeatRequest{Node: n.cfg.NodeID, Epoch: n.epoch.Load(), Jobs: n.jobReports()})
 			continue
 		}
 		if !n.joined.Load() {
@@ -419,7 +416,7 @@ func (n *Node) join() error {
 		return err
 	}
 	n.epoch.Store(jr.Epoch)
-	n.adoptMembers(jr.Members)
+	n.setView(jr.Members)
 	n.joined.Store(true)
 	n.log().Info("cluster joined", "coordinator", n.cfg.JoinURL, "epoch", jr.Epoch, "members", len(jr.Members))
 	return nil
@@ -444,7 +441,7 @@ func (n *Node) sendHeartbeat() error {
 		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
 			return err
 		}
-		n.adoptMembers(hr.Members)
+		n.setView(hr.Members)
 		return nil
 	case http.StatusGone:
 		io.Copy(io.Discard, resp.Body)
@@ -468,40 +465,14 @@ func (n *Node) jobReports() []jobReport {
 	return out
 }
 
-// adoptMembers replaces the worker's membership view and ring.
-func (n *Node) adoptMembers(ms []Member) {
-	ids := make([]string, len(ms))
-	view := make(map[string]Member, len(ms))
-	for i, m := range ms {
-		ids[i] = m.ID
-		view[m.ID] = m
+// setView publishes the membership view of a member list.
+func (n *Node) setView(ms []Member) {
+	for _, m := range ms {
 		// Teach the chaos mesh which addresses belong to which node so
 		// named partitions ("partition@2s:w2|c") sever the right calls.
 		n.cfg.Chaos.Bind(m.ID, m.Addr, m.Peer)
 	}
-	n.viewMu.Lock()
-	n.members = view
-	n.viewMu.Unlock()
-	n.ring.Reset(ids)
-}
-
-// member looks a node ID up in the current view.
-func (n *Node) member(id string) (Member, bool) {
-	n.viewMu.RLock()
-	defer n.viewMu.RUnlock()
-	m, ok := n.members[id]
-	return m, ok
-}
-
-// Members returns the current membership view.
-func (n *Node) Members() []Member {
-	n.viewMu.RLock()
-	defer n.viewMu.RUnlock()
-	out := make([]Member, 0, len(n.members))
-	for _, m := range n.members {
-		out = append(out, m)
-	}
-	return out
+	n.view.Store(newView(ms))
 }
 
 // onAdmit eagerly tells the coordinator where an accepted job lives.
@@ -530,25 +501,21 @@ func (n *Node) onAdmit(j *server.Job) {
 
 // sendMigrate asks target to adopt one evicted job; self-targets
 // short-circuit to the local server.
-func (n *Node) sendMigrate(target string, req migrateRequest) (newID string, err error) {
-	if target == n.cfg.NodeID {
-		j, _, err := n.srv.SubmitMigrated(req.Spec, req.Idem, req.From, obs.ParseTraceparent(req.Traceparent))
+func (n *Node) sendMigrate(target Member, req migrateRequest) (newID string, err error) {
+	if target.ID == n.cfg.NodeID {
+		j, err := n.submitMigrated(req)
 		if err != nil {
 			return "", err
 		}
 		return j.ID, nil
 	}
-	m, ok := n.member(target)
-	if !ok {
-		return "", fmt.Errorf("cluster: unknown member %s", target)
-	}
-	br := n.breakers.For(m.Peer)
+	br := n.breakers.For(target.Peer)
 	if !br.Allow() {
-		return "", fmt.Errorf("cluster: breaker open for %s", target)
+		return "", fmt.Errorf("cluster: breaker open for %s", target.ID)
 	}
 	ctx, cancel := n.callCtx(nil)
 	defer cancel()
-	resp, err := n.postJSON(ctx, "http://"+m.Peer+"/v1/cluster/migrate", req)
+	resp, err := n.postJSON(ctx, "http://"+target.Peer+"/v1/cluster/migrate", req)
 	if err != nil {
 		br.Failure()
 		return "", err
@@ -567,25 +534,29 @@ func (n *Node) sendMigrate(target string, req migrateRequest) (newID string, err
 	return mr.ID, nil
 }
 
+// submitMigrated admits one evicted job on this node, past its queue
+// bound: the cluster already acknowledged this work.
+func (n *Node) submitMigrated(req migrateRequest) (*server.Job, error) {
+	j, _, err := n.srv.Submit(req.Spec, server.SubmitOpts{IdemKey: req.Idem,
+		Parent: obs.ParseTraceparent(req.Traceparent), From: req.From})
+	return j, err
+}
+
 // cacheFetch is the sharded result cache's read-through: on a local
 // miss, ask the hash's ring owner.
 func (n *Node) cacheFetch(hash string) (string, bool) {
-	owner := n.ring.Owner(hash)
-	if owner == "" || owner == n.cfg.NodeID {
+	owner, ok := n.view.Load().owner(hash)
+	if !ok || owner.ID == n.cfg.NodeID {
 		return "", false
 	}
-	m, ok := n.member(owner)
-	if !ok {
-		return "", false
-	}
-	br := n.breakers.For(m.Peer)
+	br := n.breakers.For(owner.Peer)
 	if !br.Allow() {
 		return "", false
 	}
 	ctx, cancel := n.callCtx(nil)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, "GET",
-		"http://"+m.Peer+"/v1/cluster/cache?hash="+url.QueryEscape(hash), nil)
+		"http://"+owner.Peer+"/v1/cluster/cache?hash="+url.QueryEscape(hash), nil)
 	if err != nil {
 		return "", false
 	}

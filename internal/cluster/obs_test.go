@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -219,7 +220,7 @@ func TestClusterTraceMigration(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.ring.Has("w2") {
+	for coord.has("w2") {
 		if time.Now().After(deadline) {
 			t.Fatal("doomed member was never evicted")
 		}
@@ -237,14 +238,15 @@ func TestClusterTraceMigration(t *testing.T) {
 	}
 	// The survivor's re-admit ("admit migrated") must hang off the
 	// migrate span; the doomed node's original admit off the client root.
-	var sawMigratedAdmit, sawOriginalAdmit bool
+	var sawOriginalAdmit bool
+	migratedAdmit := ""
 	for _, sp := range spans {
 		if sp.Kind != obs.KindAdmit {
 			continue
 		}
 		switch {
 		case sp.Parent == mig.ID:
-			sawMigratedAdmit = true
+			migratedAdmit = sp.ID
 			if sp.Node == "w2" {
 				t.Errorf("re-admit landed back on the evicted node")
 			}
@@ -255,8 +257,15 @@ func TestClusterTraceMigration(t *testing.T) {
 	if !sawOriginalAdmit {
 		t.Error("no admit span on the doomed member parented to the client root")
 	}
-	if !sawMigratedAdmit {
-		t.Error("no admit span parented to the migrate span — the migration left the trace")
+	if migratedAdmit == "" {
+		t.Fatal("no admit span parented to the migrate span — the migration left the trace")
+	}
+	// The migrated admission journals through the same path as a client
+	// submission, so its WAL append is on the trace too.
+	if !slices.ContainsFunc(spans, func(sp obs.Span) bool {
+		return sp.Kind == obs.KindWALAppend && sp.Parent == migratedAdmit
+	}) {
+		t.Error("no wal_append span parented to the migrated admit")
 	}
 }
 

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 
 	"eruca/internal/clock"
@@ -184,5 +185,21 @@ func TestRowHitsUnderflowGuard(t *testing.T) {
 	s := Stats{Acts: 10, Reads: 3}
 	if s.RowHits() != 0 {
 		t.Errorf("RowHits = %d, want 0", s.RowHits())
+	}
+}
+
+// Add sums every counter, so a field added to Stats cannot be dropped
+// from the per-run totals.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var a, b, want Stats
+	va, vb, vw := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem(), reflect.ValueOf(&want).Elem()
+	for i := range va.NumField() {
+		va.Field(i).SetUint(uint64(i + 1))
+		vb.Field(i).SetUint(uint64(100 * (i + 1)))
+		vw.Field(i).SetUint(uint64(101 * (i + 1)))
+	}
+	a.Add(b)
+	if a != want {
+		t.Errorf("Add = %+v, want %+v", a, want)
 	}
 }

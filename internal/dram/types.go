@@ -107,6 +107,23 @@ type Stats struct {
 	AllCycles    uint64
 }
 
+// Add accumulates o into s, field by field.
+func (s *Stats) Add(o Stats) {
+	s.Acts += o.Acts
+	s.ActsEWLRHit += o.ActsEWLRHit
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.Pres += o.Pres
+	s.PartialPres += o.PartialPres
+	s.PlaneConfPre += o.PlaneConfPre
+	s.RAPRedirects += o.RAPRedirects
+	s.DDBSavedCK += o.DDBSavedCK
+	s.Refreshes += o.Refreshes
+	s.PreAlls += o.PreAlls
+	s.ActiveCycles += o.ActiveCycles
+	s.AllCycles += o.AllCycles
+}
+
 // RowHits reports reads+writes minus activates: every column command not
 // preceded by its own ACT hit an open row.
 func (s *Stats) RowHits() uint64 {

@@ -110,25 +110,11 @@ func (r *Runner) mechTotals(sys *config.System, frag float64, c *collector) mech
 			ok = false
 			continue
 		}
-		tot.addDRAM(res)
+		tot.d.DRAM.Add(res.DRAM)
 	}
 	tot.ok = ok && len(ws) > 0
 	tot.normWS = stats.GeoMean(ws)
 	return tot
-}
-
-// addDRAM accumulates the mechanism-relevant DRAM counters of one run.
-func (m *mechTotals) addDRAM(res *sim.Result) {
-	d, s := &m.d.DRAM, &res.DRAM
-	d.Acts += s.Acts
-	d.ActsEWLRHit += s.ActsEWLRHit
-	d.Reads += s.Reads
-	d.Writes += s.Writes
-	d.Pres += s.Pres
-	d.PartialPres += s.PartialPres
-	d.PlaneConfPre += s.PlaneConfPre
-	d.RAPRedirects += s.RAPRedirects
-	d.DDBSavedCK += s.DDBSavedCK
 }
 
 // ensure workload import is used even if Mixes() changes shape.

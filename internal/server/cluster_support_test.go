@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"eruca/internal/obs"
 )
 
 // TestSubmitMigratedBypassesAdmissionBound: lease-expiry re-enqueue
@@ -23,23 +21,27 @@ func TestSubmitMigratedBypassesAdmissionBound(t *testing.T) {
 	long := func(mix string) JobSpec {
 		return JobSpec{Kind: "sim", System: "ddr4", Mix: mix, Instrs: 50_000_000, Frag: 0.1}
 	}
-	blocker, err := s.Submit(long("mix0"))
+	blocker, _, err := s.Submit(long("mix0"), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, blocker, StateRunning)
-	if _, err := s.Submit(long("mix1")); err != nil {
+	if _, _, err := s.Submit(long("mix1"), SubmitOpts{}); err != nil {
 		t.Fatal(err)
 	}
 
-	// The queue is now full: a plain submission is rejected...
-	if _, err := s.Submit(long("mix2")); err != ErrQueueFull {
-		t.Fatalf("plain submit on full queue: %v, want ErrQueueFull", err)
+	// The queue is now full: a plain submission is rejected, and the
+	// rejection releases its idempotency key, so a retry is judged afresh
+	// instead of replaying the failed job...
+	for range 2 {
+		if _, replayed, err := s.Submit(long("mix2"), SubmitOpts{IdemKey: "full-key"}); err != ErrQueueFull || replayed {
+			t.Fatalf("plain submit on full queue: %v (replayed=%v), want ErrQueueFull", err, replayed)
+		}
 	}
 	// ...but a migrated job is admitted past the bound.
-	mig, replayed, err := s.SubmitMigrated(long("mix3"), "mig-key", "w2", obs.SpanContext{})
+	mig, replayed, err := s.Submit(long("mix3"), SubmitOpts{IdemKey: "mig-key", From: "w2"})
 	if err != nil || replayed {
-		t.Fatalf("SubmitMigrated on full queue: %v (replayed=%v)", err, replayed)
+		t.Fatalf("migrated Submit on full queue: %v (replayed=%v)", err, replayed)
 	}
 	hist, _, unsub := mig.events.SubscribeFrom(-1)
 	unsub()
@@ -52,7 +54,7 @@ func TestSubmitMigratedBypassesAdmissionBound(t *testing.T) {
 	}
 	// A retried migration (coordinator restart mid-eviction) replays the
 	// original instead of enqueueing a twin.
-	again, replayed, err := s.SubmitMigrated(long("mix3"), "mig-key", "w2", obs.SpanContext{})
+	again, replayed, err := s.Submit(long("mix3"), SubmitOpts{IdemKey: "mig-key", From: "w2"})
 	if err != nil || !replayed || again.ID != mig.ID {
 		t.Errorf("migration retry: id %s replayed=%v err=%v, want replay of %s", again.ID, replayed, err, mig.ID)
 	}
@@ -101,7 +103,7 @@ func TestWALCompactionRacesConcurrentSubmits(t *testing.T) {
 				key := "race-" + string(rune('a'+g)) + "-" + string(rune('0'+i%10))
 				spec := JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0",
 					Instrs: 20_000, Frag: 0.1, Seed: int64(g*1000 + i)}
-				j, _, err := s.SubmitWithKey(spec, key)
+				j, _, err := s.Submit(spec, SubmitOpts{IdemKey: key})
 				if err != nil {
 					rejected.Add(1)
 					return // drain began: stop submitting
@@ -135,7 +137,7 @@ func TestWALCompactionRacesConcurrentSubmits(t *testing.T) {
 		if !j.State().Terminal() {
 			waitJob(t, j, 60*time.Second)
 		}
-		if jj, replayed, err := s2.SubmitWithKey(j.Spec, key); err != nil || !replayed || jj.ID != id {
+		if jj, replayed, err := s2.Submit(j.Spec, SubmitOpts{IdemKey: key}); err != nil || !replayed || jj.ID != id {
 			t.Errorf("idempotency key %q after compaction: id %s replayed=%v err=%v, want %s", key, jj.ID, replayed, err, id)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"eruca/internal/errfs"
-	"eruca/internal/obs"
 )
 
 // postJSON posts a spec body to the daemon's submit endpoint.
@@ -36,7 +35,7 @@ func TestENOSPCMidAppendDegradesReadOnly(t *testing.T) {
 	s := newTestServer(t, Config{WALDir: dir, FS: ffs})
 	h := s.Handler()
 
-	j1, err := s.Submit(testSpec())
+	j1, _, err := s.Submit(testSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func TestENOSPCMidAppendDegradesReadOnly(t *testing.T) {
 		}
 		return nil
 	})
-	_, _, err = s.SubmitWithKey(testSpec(), "")
+	_, _, err = s.Submit(testSpec(), SubmitOpts{})
 	if !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("submit on full disk: %v, want ErrReadOnly", err)
 	}
@@ -59,13 +58,13 @@ func TestENOSPCMidAppendDegradesReadOnly(t *testing.T) {
 
 	// Sticky: the next submission is rejected before touching the disk.
 	writes := ffs.Count(errfs.OpWrite)
-	if _, _, err := s.SubmitWithKey(testSpec(), ""); !errors.Is(err, ErrReadOnly) {
+	if _, _, err := s.Submit(testSpec(), SubmitOpts{}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("second submit: %v, want ErrReadOnly", err)
 	}
 	if ffs.Count(errfs.OpWrite) != writes {
 		t.Error("degraded submit still reached the journal")
 	}
-	if _, _, err := s.SubmitMigrated(testSpec(), "", "n9", obs.SpanContext{}); !errors.Is(err, ErrReadOnly) {
+	if _, _, err := s.Submit(testSpec(), SubmitOpts{From: "n9"}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("migrated submit: %v, want ErrReadOnly", err)
 	}
 
@@ -113,7 +112,7 @@ func TestTornCompactionKeepsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Start()
-	j1, err := s1.Submit(testSpec())
+	j1, _, err := s1.Submit(testSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +304,7 @@ func TestCorruptBlobResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Start()
-	j1, err := s1.Submit(spec)
+	j1, _, err := s1.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +368,7 @@ func TestCorruptBlobResumeByteIdentical(t *testing.T) {
 	}
 
 	ref := newTestServer(t, Config{Workers: 1})
-	jr, err := ref.Submit(spec)
+	jr, _, err := ref.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
-	job, replayed, err := s.SubmitTraced(spec, r.Header.Get("Idempotency-Key"), obs.Extract(r.Header))
+	job, replayed, err := s.Submit(spec, SubmitOpts{IdemKey: r.Header.Get("Idempotency-Key"), Parent: obs.Extract(r.Header)})
 	switch {
 	case replayed:
 		// The key was already accepted: return the original job instead

@@ -35,14 +35,18 @@ func newQueue(max int) *queue {
 	return q
 }
 
-// Push enqueues a job or reports why it cannot.
-func (q *queue) Push(j *Job) error {
+// Push enqueues a job or reports why it cannot. bypass lifts the
+// admission bound for work the cluster or the journal already
+// acknowledged with a 202 (boot-time recovery, lease-expiry migration);
+// a closed queue still refuses it, because migrations race drains and
+// the coordinator must know to pick another survivor.
+func (q *queue) Push(j *Job, bypass bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrQueueClosed
 	}
-	if len(q.items) >= q.max {
+	if !bypass && len(q.items) >= q.max {
 		return ErrQueueFull
 	}
 	q.seq++
@@ -64,37 +68,6 @@ func (q *queue) Pop() (j *Job, ok bool) {
 	}
 	it := heap.Pop(&q.items).(queued)
 	return it.job, true
-}
-
-// pushRecovered enqueues a replayed job, bypassing the admission bound:
-// recovery must never shed work the daemon already acknowledged with a
-// 202. Only used during boot, before the HTTP listener is up.
-func (q *queue) pushRecovered(j *Job) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.seq++
-	heap.Push(&q.items, queued{job: j, prio: j.Spec.Priority, seq: q.seq})
-	q.cond.Signal()
-}
-
-// pushBypass enqueues past the admission bound at runtime — the
-// lease-expiry migration path: work a dead peer already acknowledged
-// must land on a survivor even when that survivor's queue is full.
-// Unlike pushRecovered it reports closure, because migrations race
-// drains and the coordinator must know to pick another survivor.
-func (q *queue) pushBypass(j *Job) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrQueueClosed
-	}
-	q.seq++
-	heap.Push(&q.items, queued{job: j, prio: j.Spec.Priority, seq: q.seq})
-	q.cond.Signal()
-	return nil
 }
 
 // Len reports the current depth (the queue_depth gauge).

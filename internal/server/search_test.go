@@ -36,7 +36,7 @@ func searchJobSpec() JobSpec {
 // evaluations).
 func TestSearchJobEndToEnd(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	j, err := s.Submit(searchJobSpec())
+	j, _, err := s.Submit(searchJobSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSearchJobEndToEnd(t *testing.T) {
 
 	// Identical resubmission: served from the content-addressed cache,
 	// byte-identical, no new point evaluations.
-	j2, err := s.Submit(searchJobSpec())
+	j2, _, err := s.Submit(searchJobSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSearchJobEndToEnd(t *testing.T) {
 // the runner cache even though their job hashes differ.
 func TestEvalJobKind(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
-	j, err := s.Submit(JobSpec{Kind: "eval", Point: map[string]string{"planes": "2", "ewlr": "off"}, Instrs: 4000})
+	j, _, err := s.Submit(JobSpec{Kind: "eval", Point: map[string]string{"planes": "2", "ewlr": "off"}, Instrs: 4000}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestEvalJobKind(t *testing.T) {
 	// under ewlr=off): new job hash, same simulation — the runner's
 	// launched counter must not move.
 	launched, _, _ := s.runnerCounters()
-	j2, err := s.Submit(JobSpec{Kind: "eval",
-		Point: map[string]string{"planes": "2", "ewlr": "off", "ewlr_bits": "4"}, Instrs: 4000})
+	j2, _, err := s.Submit(JobSpec{Kind: "eval",
+		Point: map[string]string{"planes": "2", "ewlr": "off", "ewlr_bits": "4"}, Instrs: 4000}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +152,19 @@ func TestSearchValidation(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	spec := searchJobSpec()
 	spec.Search.Seed = 0
-	if _, err := s.Submit(spec); !errors.Is(err, search.ErrUnseeded) {
+	if _, _, err := s.Submit(spec, SubmitOpts{}); !errors.Is(err, search.ErrUnseeded) {
 		t.Errorf("unseeded search: err = %v, want ErrUnseeded", err)
 	}
-	if _, err := s.Submit(JobSpec{Kind: "search"}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Kind: "search"}, SubmitOpts{}); err == nil {
 		t.Error("search job without a spec accepted")
 	}
-	if _, err := s.Submit(JobSpec{Kind: "eval"}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Kind: "eval"}, SubmitOpts{}); err == nil {
 		t.Error("eval job without a point accepted")
 	}
-	if _, err := s.Submit(JobSpec{Kind: "eval", Point: map[string]string{"planes": "3"}}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Kind: "eval", Point: map[string]string{"planes": "3"}}, SubmitOpts{}); err == nil {
 		t.Error("off-ladder eval point accepted")
 	}
-	if _, err := s.Submit(JobSpec{Kind: "eval", Point: map[string]string{"warp": "9"}}); err == nil {
+	if _, _, err := s.Submit(JobSpec{Kind: "eval", Point: map[string]string{"warp": "9"}}, SubmitOpts{}); err == nil {
 		t.Error("unknown eval dimension accepted")
 	}
 }
@@ -196,7 +196,7 @@ func TestSearchEvalRemoteFanout(t *testing.T) {
 		return string(b) + "\n", true, nil
 	}
 	s := newTestServer(t, cfg)
-	j, err := s.Submit(searchJobSpec())
+	j, _, err := s.Submit(searchJobSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSearchRestartResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Start()
-	j1, err := s1.Submit(spec)
+	j1, _, err := s1.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSearchRestartResume(t *testing.T) {
 	}
 
 	ref := newTestServer(t, Config{Workers: 1})
-	jr, err := ref.Submit(spec)
+	jr, _, err := ref.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

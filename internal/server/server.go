@@ -290,10 +290,7 @@ func (s *Server) openDurability(dir string) error {
 		admit.SetJob(j.ID)
 		j.trace = admit.Context()
 		j.events.Append(fmt.Sprintf("recovered from journal as %s (hash %.12s)", j.ID, j.Hash))
-		s.queue.pushRecovered(j)
-		qs := s.tracer().Start(j.trace, obs.KindQueueWait, "queue wait")
-		qs.SetJob(j.ID)
-		j.setQueueSpan(qs)
+		_ = s.enqueue(j, true) // the queue is open at boot
 		admit.End()
 		s.metrics.recovered.Add(1)
 		requeued++
@@ -410,178 +407,150 @@ func (s *Server) Start() {
 		"workers", s.cfg.Workers, "sim_parallel", s.cfg.SimParallel, "queue_max", s.cfg.QueueMax)
 }
 
-// Submit validates and enqueues a spec. The returned error is one of
-// ErrQueueFull, ErrQueueClosed, or a validation error.
-func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	job, _, err := s.SubmitWithKey(spec, "")
-	return job, err
+// SubmitOpts are Submit's optional parameters.
+type SubmitOpts struct {
+	// IdemKey is the client's Idempotency-Key ("" for none). A
+	// resubmission carrying a key the daemon has already accepted
+	// returns the original job (replayed=true) instead of enqueueing a
+	// duplicate — across restarts too, when the WAL is enabled, so a
+	// client that lost its 202 to a crash can retry the POST safely.
+	IdemKey string
+	// Parent is the trace position of the client (or of a forwarding
+	// peer or migrating coordinator), so the admit span and every
+	// lifecycle span of the job join the caller's trace. An invalid
+	// parent starts a fresh trace when tracing is on.
+	Parent obs.SpanContext
+	// From, when non-empty, names the evicted cluster member this job is
+	// re-homed from. Such a job bypasses the admission bound the way
+	// boot-time recovery does: the cluster already acknowledged it with
+	// a 202 on the dead node, and lease-expiry re-enqueue must never
+	// shed it because the survivor's queue is momentarily full.
+	From string
 }
 
-// SubmitWithKey is Submit with an optional client idempotency key. A
-// resubmission carrying a key the daemon has already accepted returns
-// the original job (replayed=true) instead of enqueueing a duplicate —
-// across restarts too, when the WAL is enabled, so a client that lost
-// its 202 to a crash can retry the POST safely.
-func (s *Server) SubmitWithKey(spec JobSpec, idemKey string) (job *Job, replayed bool, err error) {
-	return s.SubmitTraced(spec, idemKey, obs.SpanContext{})
-}
-
-// SubmitTraced is SubmitWithKey carrying a trace parent (extracted from
-// the client's — or a forwarding peer's — traceparent header), so the
-// admit span and every lifecycle span of the job join the caller's
-// trace. An invalid parent starts a fresh trace when tracing is on.
-func (s *Server) SubmitTraced(spec JobSpec, idemKey string, parent obs.SpanContext) (job *Job, replayed bool, err error) {
-	admit := s.tracer().Start(parent, obs.KindAdmit, "admit")
-	defer admit.End()
-	if s.draining.Load() {
-		s.metrics.rejectedDraining.Add(1)
-		admit.SetError(ErrQueueClosed)
-		return nil, false, ErrQueueClosed
+// Submit validates, journals and enqueues a spec — the one admission
+// path for client submissions and cluster migrations. The error is one
+// of ErrQueueFull, ErrQueueClosed, ErrReadOnly, or a validation error.
+func (s *Server) Submit(spec JobSpec, o SubmitOpts) (job *Job, replayed bool, err error) {
+	name := "admit"
+	if o.From != "" {
+		name = "admit migrated"
 	}
-	if s.degraded.Load() {
+	admit := s.tracer().Start(o.Parent, obs.KindAdmit, name)
+	if o.From != "" {
+		admit.SetAttr("from", o.From)
+	}
+	defer func() {
+		admit.SetError(err)
+		admit.End()
+	}()
+	switch {
+	case s.draining.Load():
+		s.metrics.rejectedDraining.Add(1)
+		return nil, false, ErrQueueClosed
+	case s.degraded.Load():
 		s.metrics.rejectedReadOnly.Add(1)
-		admit.SetError(ErrReadOnly)
 		return nil, false, ErrReadOnly
 	}
 	if err := spec.Validate(); err != nil {
 		s.metrics.rejectedInvalid.Add(1)
-		admit.SetError(err)
 		return nil, false, err
 	}
-	if idemKey != "" {
-		s.idemMu.Lock()
-		if id, ok := s.idem[idemKey]; ok {
-			s.idemMu.Unlock()
-			if j := s.jobs.get(id); j != nil {
-				s.metrics.idemReplayed.Add(1)
-				admit.SetJob(j.ID)
-				admit.SetAttr("replayed", "true")
-				return j, true, nil
-			}
-		} else {
-			s.idemMu.Unlock()
-		}
-	}
-	job = s.jobs.add(spec, s.baseCtx, idemKey, admit.Context())
+	job, replayed = s.claim(spec, o.IdemKey, admit.Context())
 	admit.SetJob(job.ID)
-	if s.wal != nil {
-		job.onTerminal = s.journalFinish
-		sp := spec
-		ws := s.tracer().Start(job.trace, obs.KindWALAppend, "wal submit")
-		ws.SetJob(job.ID)
-		werr := s.journalAppend(walRecord{Type: "submit", Job: job.ID, Idem: idemKey, Spec: &sp})
-		ws.SetError(werr)
-		ws.End()
-		if werr != nil {
-			s.cfg.Log.Error("wal submit record failed", "job_id", job.ID, "trace_id", job.trace.Trace, "err", werr)
-			werr = fmt.Errorf("%w (cause: %v)", ErrReadOnly, werr)
-			s.metrics.rejectedReadOnly.Add(1)
-			admit.SetError(werr)
-			job.finish(StateFailed, "", werr)
-			return nil, false, werr
-		}
+	if replayed {
+		s.metrics.idemReplayed.Add(1)
+		admit.SetAttr("replayed", "true")
+		return job, true, nil
 	}
-	if err := s.queue.Push(job); err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
+	if err := s.journalSubmit(job); err != nil {
+		s.metrics.rejectedReadOnly.Add(1)
+		s.reject(job, err)
+		return nil, false, err
+	}
+	if err := s.enqueue(job, o.From != ""); err != nil {
+		if errors.Is(err, ErrQueueFull) {
 			s.metrics.rejectedFull.Add(1)
-		case errors.Is(err, ErrQueueClosed):
+		} else {
 			s.metrics.rejectedDraining.Add(1)
 		}
-		admit.SetError(err)
-		job.finish(StateFailed, "", err)
+		s.reject(job, err)
 		return nil, false, err
 	}
-	qs := s.tracer().Start(job.trace, obs.KindQueueWait, "queue wait")
-	qs.SetJob(job.ID)
-	job.setQueueSpan(qs)
-	if idemKey != "" {
-		s.idemMu.Lock()
-		s.idem[idemKey] = job.ID
-		s.idemMu.Unlock()
-	}
 	s.metrics.submitted.Add(1)
-	job.events.Append(fmt.Sprintf("queued as %s (hash %.12s)", job.ID, job.Hash))
+	if o.From != "" {
+		s.metrics.migratedIn.Add(1)
+		job.events.Append(fmt.Sprintf("re-enqueued as %s after eviction of %s (hash %.12s)", job.ID, o.From, job.Hash))
+	} else {
+		job.events.Append(fmt.Sprintf("queued as %s (hash %.12s)", job.ID, job.Hash))
+	}
 	if s.cfg.OnAdmit != nil {
 		s.cfg.OnAdmit(job)
 	}
 	return job, false, nil
 }
 
-// SubmitMigrated enqueues a job re-homed from an evicted cluster
-// member. It bypasses the admission bound the way boot-time recovery
-// does — the cluster already acknowledged this work with a 202 on the
-// dead node, and lease-expiry re-enqueue must never shed it just
-// because the survivor's queue is momentarily full. The idempotency key
-// still dedups: a retried migration (coordinator restart mid-eviction)
-// replays the first migrated job instead of enqueueing twins.
-func (s *Server) SubmitMigrated(spec JobSpec, idemKey, from string, parent obs.SpanContext) (job *Job, replayed bool, err error) {
-	admit := s.tracer().Start(parent, obs.KindAdmit, "admit migrated")
-	admit.SetAttr("from", from)
-	defer admit.End()
-	if s.draining.Load() {
-		s.metrics.rejectedDraining.Add(1)
-		admit.SetError(ErrQueueClosed)
-		return nil, false, ErrQueueClosed
+// claim registers a new job for spec, or returns the job already holding
+// key (replayed). A non-empty key is claimed in the same critical
+// section that looks it up, so concurrent submissions of one key yield
+// one job; the WAL fsync happens after the lock is released.
+func (s *Server) claim(spec JobSpec, key string, trace obs.SpanContext) (job *Job, replayed bool) {
+	if key == "" {
+		return s.jobs.add(spec, s.baseCtx, "", trace), false
 	}
-	if s.degraded.Load() {
-		s.metrics.rejectedReadOnly.Add(1)
-		admit.SetError(ErrReadOnly)
-		return nil, false, ErrReadOnly
+	s.idemMu.Lock()
+	defer s.idemMu.Unlock()
+	if j := s.jobs.get(s.idem[key]); j != nil {
+		return j, true
 	}
-	if err := spec.Validate(); err != nil {
-		s.metrics.rejectedInvalid.Add(1)
-		admit.SetError(err)
-		return nil, false, err
-	}
-	if idemKey != "" {
+	job = s.jobs.add(spec, s.baseCtx, key, trace)
+	s.idem[key] = job.ID
+	return job, false
+}
+
+// reject fails a claimed job that could not be journaled or queued and
+// releases its idempotency key, so a retry is admitted afresh.
+func (s *Server) reject(job *Job, err error) {
+	if job.idemKey != "" {
 		s.idemMu.Lock()
-		if id, ok := s.idem[idemKey]; ok {
-			s.idemMu.Unlock()
-			if j := s.jobs.get(id); j != nil {
-				s.metrics.idemReplayed.Add(1)
-				admit.SetJob(j.ID)
-				admit.SetAttr("replayed", "true")
-				return j, true, nil
-			}
-		} else {
-			s.idemMu.Unlock()
+		if s.idem[job.idemKey] == job.ID {
+			delete(s.idem, job.idemKey)
 		}
+		s.idemMu.Unlock()
 	}
-	job = s.jobs.add(spec, s.baseCtx, idemKey, admit.Context())
-	admit.SetJob(job.ID)
-	if s.wal != nil {
-		job.onTerminal = s.journalFinish
-		sp := spec
-		if err := s.journalAppend(walRecord{Type: "submit", Job: job.ID, Idem: idemKey, Spec: &sp}); err != nil {
-			err = fmt.Errorf("%w (cause: %v)", ErrReadOnly, err)
-			s.metrics.rejectedReadOnly.Add(1)
-			admit.SetError(err)
-			job.finish(StateFailed, "", err)
-			return nil, false, err
-		}
+	job.finish(StateFailed, "", err)
+}
+
+// journalSubmit makes a new job durable (a no-op without a WAL). A
+// failed append returns an error wrapping ErrReadOnly.
+func (s *Server) journalSubmit(job *Job) error {
+	if s.wal == nil {
+		return nil
 	}
-	if err := s.queue.pushBypass(job); err != nil {
-		s.metrics.rejectedDraining.Add(1)
-		admit.SetError(err)
-		job.finish(StateFailed, "", err)
-		return nil, false, err
+	job.onTerminal = s.journalFinish
+	sp := job.Spec
+	ws := s.tracer().Start(job.trace, obs.KindWALAppend, "wal submit")
+	ws.SetJob(job.ID)
+	defer ws.End()
+	err := s.journalAppend(walRecord{Type: "submit", Job: job.ID, Idem: job.idemKey, Spec: &sp})
+	if err == nil {
+		return nil
+	}
+	ws.SetError(err)
+	s.cfg.Log.Error("wal submit record failed", "job_id", job.ID, "trace_id", job.trace.Trace, "err", err)
+	return fmt.Errorf("%w (cause: %v)", ErrReadOnly, err)
+}
+
+// enqueue pushes an admitted or recovered job and opens its queue_wait
+// span; bypass lifts the admission bound.
+func (s *Server) enqueue(job *Job, bypass bool) error {
+	if err := s.queue.Push(job, bypass); err != nil {
+		return err
 	}
 	qs := s.tracer().Start(job.trace, obs.KindQueueWait, "queue wait")
 	qs.SetJob(job.ID)
 	job.setQueueSpan(qs)
-	if idemKey != "" {
-		s.idemMu.Lock()
-		s.idem[idemKey] = job.ID
-		s.idemMu.Unlock()
-	}
-	s.metrics.submitted.Add(1)
-	s.metrics.migratedIn.Add(1)
-	job.events.Append(fmt.Sprintf("re-enqueued as %s after eviction of %s (hash %.12s)", job.ID, from, job.Hash))
-	if s.cfg.OnAdmit != nil {
-		s.cfg.OnAdmit(job)
-	}
-	return job, false, nil
+	return nil
 }
 
 // Job returns a job by ID, or nil.

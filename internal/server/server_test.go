@@ -61,7 +61,7 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j, err := s.Submit(spec)
+			j, _, err := s.Submit(spec, SubmitOpts{})
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -109,7 +109,7 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 	}
 
 	// A later identical submission is a pure cache hit: still one sim.
-	j, err := s.Submit(spec)
+	j, _, err := s.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCancelInFlight(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	// A deliberately long simulation (tens of seconds if left alone).
 	long := JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 50_000_000, Frag: 0.1}
-	j, err := s.Submit(long)
+	j, _, err := s.Submit(long, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCancelInFlight(t *testing.T) {
 	}
 
 	// Worker is free again: a short job completes.
-	quick, err := s.Submit(testSpec())
+	quick, _, err := s.Submit(testSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestCancelInFlight(t *testing.T) {
 // cancel of the acceptance criteria) stops the run.
 func TestJobTimeout(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	j, err := s.Submit(JobSpec{
+	j, _, err := s.Submit(JobSpec{
 		Kind: "sim", System: "ddr4", Mix: "mix0",
 		Instrs: 50_000_000, Frag: 0.1, TimeoutMS: 300,
-	})
+	}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestJobTimeout(t *testing.T) {
 // TestCancelQueued cancels a job before a worker picks it up.
 func TestCancelQueued(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	blocker, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 50_000_000, Frag: 0.1})
+	blocker, _, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 50_000_000, Frag: 0.1}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix1", Instrs: 50_000_000, Frag: 0.1})
+	queued, _, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix1", Instrs: 50_000_000, Frag: 0.1}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAdmissionControl(t *testing.T) {
 	long := func(mix string) JobSpec {
 		return JobSpec{Kind: "sim", System: "ddr4", Mix: mix, Instrs: 50_000_000, Frag: 0.1}
 	}
-	first, err := s.Submit(long("mix0"))
+	first, _, err := s.Submit(long("mix0"), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +226,10 @@ func TestAdmissionControl(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := s.Submit(long("mix1")); err != nil {
+	if _, _, err := s.Submit(long("mix1"), SubmitOpts{}); err != nil {
 		t.Fatalf("second submit should queue: %v", err)
 	}
-	if _, err := s.Submit(long("mix2")); err != ErrQueueFull {
+	if _, _, err := s.Submit(long("mix2"), SubmitOpts{}); err != ErrQueueFull {
 		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
 	}
 	if got := s.metrics.rejectedFull.Load(); got != 1 {
@@ -246,13 +246,13 @@ func TestAdmissionControl(t *testing.T) {
 func TestDrain(t *testing.T) {
 	cachePath := t.TempDir() + "/cache.json"
 	s := newTestServer(t, Config{Workers: 1, CachePath: cachePath})
-	running, err := s.Submit(testSpec())
+	running, _, err := s.Submit(testSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	queuedSpec := testSpec()
 	queuedSpec.Seed = 7 // different content hash; must also complete
-	queued, err := s.Submit(queuedSpec)
+	queued, _, err := s.Submit(queuedSpec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(testSpec()); err != ErrQueueClosed {
+	if _, _, err := s.Submit(testSpec(), SubmitOpts{}); err != ErrQueueClosed {
 		t.Fatalf("submit during drain: err = %v, want ErrQueueClosed", err)
 	}
 	if err := <-drained; err != nil {
@@ -290,7 +290,7 @@ func TestDrain(t *testing.T) {
 	}
 	s2.Start()
 	defer s2.Close()
-	j, err := s2.Submit(testSpec())
+	j, _, err := s2.Submit(testSpec(), SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestDrain(t *testing.T) {
 // deadline fires first, remaining jobs are canceled rather than leaked.
 func TestDrainDeadlineCancels(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	j, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 50_000_000, Frag: 0.1})
+	j, _, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 50_000_000, Frag: 0.1}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 		return &Job{ID: id, Spec: JobSpec{Priority: prio}}
 	}
 	for _, j := range []*Job{mk(0, "a"), mk(5, "b"), mk(0, "c"), mk(5, "d"), mk(9, "e")} {
-		if err := q.Push(j); err != nil {
+		if err := q.Push(j, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -356,17 +356,17 @@ func TestQueuePriorityOrder(t *testing.T) {
 
 func TestQueueBoundsAndClose(t *testing.T) {
 	q := newQueue(2)
-	if err := q.Push(&Job{ID: "a"}); err != nil {
+	if err := q.Push(&Job{ID: "a"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push(&Job{ID: "b"}); err != nil {
+	if err := q.Push(&Job{ID: "b"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push(&Job{ID: "c"}); err != ErrQueueFull {
+	if err := q.Push(&Job{ID: "c"}, false); err != ErrQueueFull {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	q.Close()
-	if err := q.Push(&Job{ID: "d"}); err != ErrQueueClosed {
+	if err := q.Push(&Job{ID: "d"}, false); err != ErrQueueClosed {
 		t.Fatalf("err = %v, want ErrQueueClosed", err)
 	}
 	// Close drains the backlog before Pop reports closed.

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -217,7 +218,7 @@ func TestRecoveryReRunsUnfinishedJobs(t *testing.T) {
 	}
 
 	// New submissions never collide with recovered IDs.
-	fresh, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix1", Instrs: 20_000, Frag: 0.1})
+	fresh, _, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix1", Instrs: 20_000, Frag: 0.1}, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,18 +234,18 @@ func TestRecoveryReRunsUnfinishedJobs(t *testing.T) {
 func TestIdempotencyKey(t *testing.T) {
 	s := newTestServer(t, Config{})
 	spec := testSpec()
-	j1, replayed, err := s.SubmitWithKey(spec, "alpha")
+	j1, replayed, err := s.Submit(spec, SubmitOpts{IdemKey: "alpha"})
 	if err != nil || replayed {
 		t.Fatalf("first submit: %v replayed=%v", err, replayed)
 	}
-	j2, replayed, err := s.SubmitWithKey(spec, "alpha")
+	j2, replayed, err := s.Submit(spec, SubmitOpts{IdemKey: "alpha"})
 	if err != nil || !replayed {
 		t.Fatalf("duplicate submit: %v replayed=%v", err, replayed)
 	}
 	if j1.ID != j2.ID {
 		t.Errorf("duplicate key created a new job: %s vs %s", j1.ID, j2.ID)
 	}
-	j3, replayed, err := s.SubmitWithKey(spec, "beta")
+	j3, replayed, err := s.Submit(spec, SubmitOpts{IdemKey: "beta"})
 	if err != nil || replayed {
 		t.Fatalf("distinct key: %v replayed=%v", err, replayed)
 	}
@@ -253,6 +254,48 @@ func TestIdempotencyKey(t *testing.T) {
 	}
 	waitJob(t, j1, 60*time.Second)
 	waitJob(t, j3, 60*time.Second)
+}
+
+// TestIdempotencyKeyConcurrent: concurrent submissions of one key yield
+// one job. The key is claimed in the critical section that looks it up,
+// so no caller can miss it while another is inside the WAL fsync.
+func TestIdempotencyKeyConcurrent(t *testing.T) {
+	s := newTestServer(t, Config{WALDir: t.TempDir(), QueueMax: 32})
+	const callers = 16
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		ids      = map[string]bool{}
+		replays  int
+		start    = make(chan struct{})
+		failures []error
+	)
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			j, replayed, err := s.Submit(testSpec(), SubmitOpts{IdemKey: "one-key"})
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				failures = append(failures, err)
+				return
+			}
+			ids[j.ID] = true
+			if replayed {
+				replays++
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if len(failures) > 0 {
+		t.Fatalf("submissions failed: %v", failures)
+	}
+	if len(ids) != 1 || replays != callers-1 {
+		t.Fatalf("%d callers with one key: job IDs %v, %d replayed; want one ID and %d replays", callers, ids, replays, callers-1)
+	}
 }
 
 // TestIdempotencyKeyAcrossRestart is the crash-retry contract: a client
@@ -267,7 +310,7 @@ func TestIdempotencyKeyAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Start()
-	j1, replayed, err := s1.SubmitWithKey(spec, "retry-key")
+	j1, replayed, err := s1.Submit(spec, SubmitOpts{IdemKey: "retry-key"})
 	if err != nil || replayed {
 		t.Fatalf("submit: %v replayed=%v", err, replayed)
 	}
@@ -280,7 +323,7 @@ func TestIdempotencyKeyAcrossRestart(t *testing.T) {
 	}
 
 	s2 := newTestServer(t, Config{WALDir: dir})
-	j2, replayed, err := s2.SubmitWithKey(spec, "retry-key")
+	j2, replayed, err := s2.Submit(spec, SubmitOpts{IdemKey: "retry-key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +365,7 @@ func TestForcedShutdownResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Start()
-	j1, err := s1.Submit(spec)
+	j1, _, err := s1.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +408,7 @@ func TestForcedShutdownResumesFromCheckpoint(t *testing.T) {
 
 	// Byte-identical to an uninterrupted run of the same spec.
 	ref := newTestServer(t, Config{Workers: 1})
-	jr, err := ref.Submit(spec)
+	jr, _, err := ref.Submit(spec, SubmitOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

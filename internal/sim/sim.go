@@ -615,20 +615,7 @@ func (rs *runState) finish(v loopVars, stopErr error) (*Result, error) {
 	for _, ctl := range ctls {
 		ch := ctl.Channel()
 		ch.Finish(bus)
-		s := ch.Stats
-		res.DRAM.Acts += s.Acts
-		res.DRAM.ActsEWLRHit += s.ActsEWLRHit
-		res.DRAM.Reads += s.Reads
-		res.DRAM.Writes += s.Writes
-		res.DRAM.Pres += s.Pres
-		res.DRAM.PartialPres += s.PartialPres
-		res.DRAM.PlaneConfPre += s.PlaneConfPre
-		res.DRAM.RAPRedirects += s.RAPRedirects
-		res.DRAM.DDBSavedCK += s.DDBSavedCK
-		res.DRAM.Refreshes += s.Refreshes
-		res.DRAM.PreAlls += s.PreAlls
-		res.DRAM.ActiveCycles += s.ActiveCycles
-		res.DRAM.AllCycles += s.AllCycles
+		res.DRAM.Add(ch.Stats)
 		res.QueueLat.Merge(&ctl.Stats.QueueLatency, busNS)
 		res.TotalLat.Merge(&ctl.Stats.TotalLatency, busNS)
 		res.BankLoad = append(res.BankLoad, ch.BankLoad()...)

@@ -9,8 +9,8 @@ import (
 // lock-free atomic updated on the simulator hot path regardless of event
 // sampling, so attribution totals are exact even when the trace is
 // decimated. All counts are deterministic per configuration (the
-// command stream does not depend on telemetry), which lets
-// scripts/bench_delta.awk treat them as drift-checked invariants.
+// command stream does not depend on telemetry), which lets the
+// bench/erucaperf goldens treat them as drift-checked invariants.
 type Counters struct {
 	// DRAM command counts.
 	Acts      atomic.Uint64

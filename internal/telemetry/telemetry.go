@@ -7,8 +7,8 @@
 // The design contract is that telemetry is purely observational: enabling
 // or disabling it must never change a simulated command stream, a bus
 // cycle count, or a sweep table (internal/sim proves this with an audit
-// equivalence test, and scripts/bench_delta.awk fails the build on any
-// mechanism-counter drift). The hot path pays one nil check when telemetry
+// equivalence test, and the bench/erucaperf goldens fail the build on
+// any mechanism-counter drift). The hot path pays one nil check when telemetry
 // is detached; counters are lock-free atomics; event rings are
 // preallocated and guarded by a single mutex per Set so concurrent
 // readers (the erucad live endpoint, crash dumps) are race-clean while a
