@@ -1,9 +1,13 @@
 GO ?= go
 
-.PHONY: build vet test race cluster-stress zero-alloc chaos chaos-restart chaos-cluster chaos-mesh fuzz-smoke search-smoke verify bench clean
+.PHONY: build fmt-check vet test race cluster-stress zero-alloc chaos chaos-restart chaos-cluster chaos-mesh fuzz-smoke search-smoke verify bench clean
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: gofmt must find nothing to rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -101,8 +105,9 @@ search-smoke:
 	grep -q 'planes=' search-smoke-a.txt
 	rm -f search-smoke-a.txt search-smoke-b.txt
 
-# verify is the tier-1 gate plus the race and chaos smokes.
-verify: vet build test race zero-alloc chaos
+# verify is the tier-1 gate plus formatting and the race and chaos
+# smokes.
+verify: fmt-check vet build test race zero-alloc chaos
 
 # Scaled-down figure + ablation + micro benchmarks. End-to-end and
 # per-layer performance is measured by bench/erucaperf (bench/README.md).

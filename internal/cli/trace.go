@@ -40,7 +40,7 @@ type Trace struct {
 func (t *Trace) Register() {
 	flag.StringVar(&t.Out, "trace-out", "",
 		"write the event trace here: .json = Chrome/Perfetto trace, otherwise compact binary")
-	flag.IntVar(&t.Sample, "trace-sample", 0, "keep 1-in-N traced events (0 or 1 = all; counters see every event)")
+	flag.IntVar(&t.Sample, "trace-sample", 0, "keep 1-in-N traced events (0 or 1 = all; thins only the trace, never the counts)")
 	flag.IntVar(&t.Depth, "trace-depth", 0, "per-rank recent-event ring depth (default 256)")
 	flag.IntVar(&t.Cap, "trace-cap", 0, "in-memory trace capture cap in events (default 1M)")
 	flag.StringVar(&t.Spill, "trace-spill", "", "binary spill file for events beyond -trace-cap")

@@ -39,10 +39,11 @@ type Channel struct {
 	// checker in Fail/Log mode keep the process alive.
 	onViolation func(Violation)
 
-	// tel, when set, receives a typed telemetry event and mechanism
-	// counter update per issued command. Purely observational: no timing
-	// decision reads it, so attaching telemetry can never change the
-	// command stream. nil costs one comparison per Issue.
+	// tel, when set, receives a typed telemetry event and histogram
+	// observations per issued command; the counts stay in Stats. Purely
+	// observational: no timing decision reads it, so attaching telemetry
+	// can never change the command stream. nil costs one comparison per
+	// Issue.
 	tel    *telemetry.Set
 	chanID uint8
 	telRun uint16
@@ -355,7 +356,7 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 		ch.busLastRead = read
 		ch.Stats.DDBSavedCK += uint64(ddbSaved)
 		if ch.tel != nil {
-			ch.telCol(c, now, read, ddbSaved)
+			ch.telCol(c, now, ddbSaved)
 		}
 	default:
 		diag.Invariantf("dram: Issue of managed command %v", c)
@@ -428,7 +429,6 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 								s.openCount = 0
 								ch.Stats.Pres++
 								if ch.tel != nil {
-									ch.tel.C.Pres.Add(1)
 									ch.tel.C.RowOpen.Observe(now - s.slots[i].actAt)
 								}
 							}
@@ -439,11 +439,10 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 			rk.openSubs = 0
 			ch.Stats.PreAlls++
 			rk.preaAt = now
-			rkID := rankIndex(ch, rk)
-			ch.observe(Command{Kind: CmdPREA, Rank: rkID}, now)
+			prea := Command{Kind: CmdPREA, Rank: rankIndex(ch, rk)}
+			ch.observe(prea, now)
 			if ch.tel != nil {
-				ch.tel.C.PreAlls.Add(1)
-				ch.tel.Emit(telemetry.Event{At: now, Run: ch.telRun, Kind: telemetry.EvPREA, Chan: ch.chanID, Rank: uint8(rkID)})
+				ch.tel.Emit(ch.telEvent(prea, now))
 			}
 			continue
 		}
@@ -459,11 +458,10 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 			rk.refPending = false
 			rk.preaAt = never
 			ch.Stats.Refreshes++
-			rkID := rankIndex(ch, rk)
-			ch.observe(Command{Kind: CmdREF, Rank: rkID}, now)
+			ref := Command{Kind: CmdREF, Rank: rankIndex(ch, rk)}
+			ch.observe(ref, now)
 			if ch.tel != nil {
-				ch.tel.C.Refreshes.Add(1)
-				ch.tel.Emit(telemetry.Event{At: now, Run: ch.telRun, Kind: telemetry.EvREF, Chan: ch.chanID, Rank: uint8(rkID)})
+				ch.tel.Emit(ch.telEvent(ref, now))
 			}
 		}
 	}

@@ -7,9 +7,9 @@ import (
 
 // Telemetry emission helpers. All are called only when ch.tel != nil and
 // strictly after the timing engine committed the command, so they can
-// never perturb scheduling. Counters are driven from here (not from the
-// sampled event trace) so attribution totals stay exact under any
-// SampleEvery/window setting.
+// never perturb scheduling. They emit the traced events and feed the
+// live histograms; the command and mechanism counts live in Stats alone,
+// which the run hands to the Set once it finishes.
 
 // telEvent translates a Command into a telemetry Event; the first six
 // telemetry Kinds mirror CmdKind one-to-one.
@@ -28,24 +28,19 @@ func (ch *Channel) telEvent(c Command, at clock.Cycle) telemetry.Event {
 	}
 }
 
-// telACT records an activation: counters, the inter-ACT gap histogram
-// (per rank, prevAct is the rank's previous ACT cycle or the `never`
-// sentinel), and the traced event with EWLR/RAP flags.
+// telACT records an activation: the inter-ACT gap histogram (per rank,
+// prevAct is the rank's previous ACT cycle or the `never` sentinel) and
+// the traced event with EWLR/RAP flags.
 func (ch *Channel) telACT(c Command, now, prevAct clock.Cycle) {
 	t := ch.tel
-	t.C.Acts.Add(1)
 	e := ch.telEvent(c, now)
-	ewlrScheme := ch.planes != nil && ch.planes.EWLR()
 	switch {
 	case c.EWLRHit:
-		t.C.EWLRHits.Add(1)
 		e.Flag |= telemetry.FlagEWLRHit
-	case ewlrScheme:
-		t.C.EWLRMisses.Add(1)
+	case ch.planes != nil && ch.planes.EWLR():
 		e.Flag |= telemetry.FlagEWLRMiss
 	}
 	if c.RAPRedirect {
-		t.C.RAPRedirects.Add(1)
 		e.Flag |= telemetry.FlagRAPRemap
 	}
 	if prevAct != never {
@@ -53,26 +48,22 @@ func (ch *Channel) telACT(c Command, now, prevAct clock.Cycle) {
 	}
 	t.Emit(e)
 	if c.RAPRedirect {
-		r := e
-		r.Kind = telemetry.EvRAPRemap
-		t.Emit(r)
+		e.Kind = telemetry.EvRAPRemap
+		t.Emit(e)
 	}
 }
 
-// telPRE records a precharge: counters, the row-open-lifetime histogram
-// (actAt is the closed slot's opening ACT cycle; skipped for the
-// spurious PRE-on-closed best-effort path), and the traced event with
+// telPRE records a precharge: the row-open-lifetime histogram (actAt is
+// the closed slot's opening ACT cycle; skipped for the spurious
+// PRE-on-closed best-effort path) and the traced event with
 // partial/plane-conflict flags.
 func (ch *Channel) telPRE(c Command, now clock.Cycle, wasActive bool, actAt clock.Cycle) {
 	t := ch.tel
-	t.C.Pres.Add(1)
 	e := ch.telEvent(c, now)
 	if c.Partial {
-		t.C.PartialPres.Add(1)
 		e.Flag |= telemetry.FlagPartial
 	}
 	if c.PlaneConflict {
-		t.C.PlaneConflicts.Add(1)
 		e.Flag |= telemetry.FlagPlaneConflict
 	}
 	if wasActive {
@@ -84,20 +75,13 @@ func (ch *Channel) telPRE(c Command, now clock.Cycle, wasActive bool, actAt cloc
 // telCol records a column command and, when the dual data bus pulled its
 // issue cycle in versus the single-bus tCCD_L/tWTR_L bound, the DDB
 // grant event with the saved cycles.
-func (ch *Channel) telCol(c Command, now clock.Cycle, read bool, ddbSaved clock.Cycle) {
-	t := ch.tel
-	if read {
-		t.C.Reads.Add(1)
-	} else {
-		t.C.Writes.Add(1)
-	}
-	t.Emit(ch.telEvent(c, now))
+func (ch *Channel) telCol(c Command, now, ddbSaved clock.Cycle) {
+	e := ch.telEvent(c, now)
+	ch.tel.Emit(e)
 	if ddbSaved > 0 {
-		t.C.DDBSavedCK.Add(uint64(ddbSaved))
-		g := ch.telEvent(c, now)
-		g.Kind = telemetry.EvDDBGrant
-		g.Arg = uint32(ddbSaved)
-		g.Row = 0
-		t.Emit(g)
+		e.Kind = telemetry.EvDDBGrant
+		e.Arg = uint32(ddbSaved)
+		e.Row = 0
+		ch.tel.Emit(e)
 	}
 }

@@ -124,6 +124,24 @@ func (s *Stats) Add(o Stats) {
 	s.AllCycles += o.AllCycles
 }
 
+// Each calls fn with every command and mechanism count under its metric
+// name (the telemetry counter and the eruca_sim_<name>_total suffix),
+// in a fixed order. The standby-cycle integrals are energy inputs, not
+// event counts, and are left out.
+func (s *Stats) Each(fn func(name string, v uint64)) {
+	fn("acts", s.Acts)
+	fn("ewlr_hits", s.ActsEWLRHit)
+	fn("reads", s.Reads)
+	fn("writes", s.Writes)
+	fn("pres", s.Pres)
+	fn("partial_pres", s.PartialPres)
+	fn("plane_conflicts", s.PlaneConfPre)
+	fn("rap_redirects", s.RAPRedirects)
+	fn("ddb_saved_ck", s.DDBSavedCK)
+	fn("refreshes", s.Refreshes)
+	fn("prealls", s.PreAlls)
+}
+
 // RowHits reports reads+writes minus activates: every column command not
 // preceded by its own ACT hit an open row.
 func (s *Stats) RowHits() uint64 {

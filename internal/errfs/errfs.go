@@ -56,12 +56,12 @@ func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)             { return os.ReadFile(name) }
+func (osFS) ReadFile(name string) ([]byte, error)                 { return os.ReadFile(name) }
 func (osFS) WriteFile(name string, b []byte, p fs.FileMode) error { return os.WriteFile(name, b, p) }
-func (osFS) Rename(oldpath, newpath string) error             { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                         { return os.Remove(name) }
-func (osFS) MkdirAll(path string, perm fs.FileMode) error     { return os.MkdirAll(path, perm) }
-func (osFS) ReadDir(name string) ([]fs.DirEntry, error)       { return os.ReadDir(name) }
+func (osFS) Rename(oldpath, newpath string) error                 { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                             { return os.Remove(name) }
+func (osFS) MkdirAll(path string, perm fs.FileMode) error         { return os.MkdirAll(path, perm) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)           { return os.ReadDir(name) }
 
 func (osFS) SyncDir(name string) error {
 	d, err := os.Open(name)

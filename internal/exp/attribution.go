@@ -6,7 +6,6 @@ import (
 	"eruca/internal/config"
 	"eruca/internal/sim"
 	"eruca/internal/stats"
-	"eruca/internal/workload"
 )
 
 // attributionLadder is the mechanism ladder the Attribution table walks:
@@ -116,6 +115,3 @@ func (r *Runner) mechTotals(sys *config.System, frag float64, c *collector) mech
 	tot.normWS = stats.GeoMean(ws)
 	return tot
 }
-
-// ensure workload import is used even if Mixes() changes shape.
-var _ = []workload.Mix(nil)

@@ -82,7 +82,7 @@ func TestSweepBytesIdenticalWithTelemetry(t *testing.T) {
 	if bare != traced {
 		t.Fatalf("sweep table differs with telemetry attached:\n--- bare ---\n%s\n--- traced ---\n%s", bare, traced)
 	}
-	if tel.C.Acts.Load() == 0 {
+	if tel.Snapshot(0).Counters["acts"] == 0 {
 		t.Fatal("telemetry attached but saw no ACTs")
 	}
 }
@@ -99,16 +99,17 @@ func TestWithTelemetryView(t *testing.T) {
 	if _, err := view.Result(sys, mix, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if tel.C.Acts.Load() == 0 {
+	acts := func() uint64 { return tel.Snapshot(0).Counters["acts"] }
+	if acts() == 0 {
 		t.Fatal("view simulation did not feed the telemetry set")
 	}
 	// The base runner shares the cache: a second call through the base
 	// must not re-simulate (and so adds no counters).
-	before := tel.C.Acts.Load()
+	before := acts()
 	if _, err := base.Result(sys, mix, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if got := tel.C.Acts.Load(); got != before {
+	if got := acts(); got != before {
 		t.Errorf("cached result re-fed telemetry: %d -> %d", before, got)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -162,6 +163,42 @@ func TestTornCompactionKeepsJournal(t *testing.T) {
 	if j2.Output() != want {
 		t.Error("rebooted job output differs from the pre-drain result")
 	}
+}
+
+// TestDoneOnlyAfterFinishJournaled: a job reads as finished to a
+// waiter on Done only once its terminal record is on disk. Slowed
+// journal writes widen the window between the terminal transition and
+// the append.
+func TestDoneOnlyAfterFinishJournaled(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.wal")
+	ffs := errfs.New(nil)
+	ffs.SetHook(func(op errfs.Op, path string) error {
+		if op == errfs.OpWrite && path == journal {
+			time.Sleep(20 * time.Millisecond)
+		}
+		return nil
+	})
+	s := newTestServer(t, Config{WALDir: dir, FS: ffs})
+	j, _, err := s.Submit(testSpec(), SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j, 60*time.Second)
+	if st := j.State(); st != StateDone {
+		t.Fatalf("job state %s, want done", st)
+	}
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(b, []byte("\n")) {
+		var rec walRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Type == "finish" && rec.Job == j.ID {
+			return
+		}
+	}
+	t.Fatalf("job %s reads as done but the journal holds no finish record for it:\n%s", j.ID, b)
 }
 
 // TestBlobFrameRoundTrip pins the checkpoint-blob frame: key and

@@ -230,9 +230,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTelemetry serves the job-scoped simulator telemetry: mechanism
-// counters, log2 latency histograms, and the most-recent traced events.
-// The default is one JSON snapshot (works mid-run: the counters are
+// handleTelemetry serves the job-scoped simulator telemetry: the DRAM
+// command and mechanism counts of the job's finished simulations (their
+// measured dram.Stats, added once per simulation), plus the live log2
+// latency histograms, fast-forward skips and most-recent traced events.
+// The default is one JSON snapshot (works mid-run: the histograms are
 // lock-free and the rings copy under their own mutex); with ?sse=1 it
 // streams a snapshot every ?interval_ms (default 500, floor 50) until
 // the job reaches a terminal state, then sends one final snapshot in an
@@ -342,7 +344,8 @@ func (s *Server) CollectMetrics(buf *MetricsBuf) {
 	}
 	s.metrics.collect(buf, g)
 	// Simulator-level telemetry, aggregated across every job's set:
-	// eruca_sim_* mechanism counters and log2 latency histograms.
+	// eruca_sim_* counters (DRAM counts of finished simulations) and
+	// log2 latency histograms.
 	collectTelemetry(buf, s.telemetrySets())
 }
 

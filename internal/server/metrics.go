@@ -148,18 +148,17 @@ var telemetryHelp = map[string]string{
 	"refreshes":         "DRAM REF commands issued.",
 	"prealls":           "DRAM PREA (precharge-all) commands issued.",
 	"ewlr_hits":         "ACTs that reused an already-driven MWL (EWLR hits).",
-	"ewlr_misses":       "ACTs under an EWLR scheme that had to drive the MWL.",
 	"partial_pres":      "PREs that left the shared MWL driven (partial precharge).",
 	"plane_conflicts":   "PREs forced by plane-latch conflicts (Fig. 13b).",
 	"rap_redirects":     "ACTs whose plane ID was RAP-inverted to dodge a collision.",
 	"ddb_saved_ck":      "Bus cycles of tCCD_L/tWTR_L recovered by the dual data bus.",
 	"ff_cycles_skipped": "Bus cycles jumped by the event-driven run loop.",
-	"vpp_acts_saved":    "VPP wordline activations saved (= EWLR hits).",
 	"trace_dropped":     "Trace events dropped beyond the capture cap.",
 }
 
-// collectTelemetry renders the simulator-level metrics: every mechanism
-// counter summed across the given telemetry sets as
+// collectTelemetry renders the simulator-level metrics: every counter
+// (the DRAM totals of finished simulations, fast-forward skips, dropped
+// trace events) summed across the given telemetry sets as
 // eruca_sim_<name>_total, and every log2 histogram merged into a
 // Prometheus histogram eruca_sim_<name> whose bucket bounds are the
 // Hist power-of-two upper edges (only populated buckets are emitted to

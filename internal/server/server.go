@@ -308,19 +308,13 @@ func (s *Server) openDurability(dir string) error {
 // deliberately NOT journaled as finished — withholding the record is
 // what makes a restarted daemon re-run them.
 func (s *Server) journalFinish(j *Job) {
-	j.mu.Lock()
-	state, output, errMsg, interrupted := j.state, j.output, j.errMsg, j.interrupted
-	j.mu.Unlock()
-	if interrupted {
-		_ = s.journalAppend(walRecord{Type: "interrupted", Job: j.ID, State: string(state)})
+	rec, ok := j.terminalRecord()
+	if !ok {
+		_ = s.journalAppend(walRecord{Type: "interrupted", Job: j.ID, State: string(j.State())})
 		return
 	}
 	ws := s.tracer().Start(j.trace, obs.KindWALAppend, "wal finish")
 	ws.SetJob(j.ID)
-	rec := walRecord{Type: "finish", Job: j.ID, State: string(state), Error: errMsg}
-	if state == StateDone {
-		rec.Output = output
-	}
 	if err := s.journalAppend(rec); err != nil {
 		ws.SetError(err)
 		s.cfg.Log.Error("wal finish record failed", "job_id", j.ID, "trace_id", j.trace.Trace, "err", err)
@@ -379,13 +373,6 @@ func (s *Server) scrubLoop() {
 			s.Scrub()
 		}
 	}
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 // Start launches the worker pool.
@@ -509,8 +496,12 @@ func (s *Server) claim(spec JobSpec, key string, trace obs.SpanContext) (job *Jo
 }
 
 // reject fails a claimed job that could not be journaled or queued and
-// releases its idempotency key, so a retry is admitted afresh.
+// releases its idempotency key, so a retry is admitted afresh — after
+// a restart too, since the job's terminal record is a "reject".
 func (s *Server) reject(job *Job, err error) {
+	job.mu.Lock()
+	job.rejected = true
+	job.mu.Unlock()
 	if job.idemKey != "" {
 		s.idemMu.Lock()
 		if s.idem[job.idemKey] == job.ID {

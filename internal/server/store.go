@@ -54,7 +54,7 @@ type Job struct {
 	// one, across restarts when the WAL is enabled.
 	idemKey string
 	// onTerminal, when set, observes the terminal transition (the WAL
-	// journals it). Called outside mu, after done closes.
+	// journals it). Called outside mu, before done closes.
 	onTerminal func(*Job)
 
 	mu        sync.Mutex
@@ -69,10 +69,14 @@ type Job struct {
 	// deadline); its terminal record is withheld from the journal so a
 	// restarted daemon re-runs it.
 	interrupted bool
-	recovered   bool
-	created     time.Time
-	started     time.Time
-	finished    time.Time
+	// rejected marks a job refused at admission, which gave its
+	// idempotency key back; its terminal record says so, so replay
+	// leaves the key free too.
+	rejected  bool
+	recovered bool
+	created   time.Time
+	started   time.Time
+	finished  time.Time
 }
 
 // markInterrupted flags the job as killed by a forced shutdown.
@@ -120,10 +124,12 @@ func (j *Job) takeQueueSpan() *obs.ActiveSpan {
 func (j *Job) IdemKey() string { return j.idemKey }
 
 // Telemetry is the job-scoped counter/trace set: simulations launched on
-// behalf of this job feed it live, so GET /v1/jobs/{id}/telemetry
-// introspects an in-flight run. Results served from the result cache or
-// joined onto another job's in-flight simulation contribute no fresh
-// events (the counters then reflect only what this job itself executed).
+// behalf of this job feed its histograms and trace live, so GET
+// /v1/jobs/{id}/telemetry introspects an in-flight run, and each hands
+// over its DRAM counts when it finishes. Results served from the result
+// cache or joined onto another job's in-flight simulation contribute
+// nothing (the counters then reflect only what this job itself
+// executed).
 func (j *Job) Telemetry() *telemetry.Set { return j.tel }
 
 // State reports the current lifecycle position.
@@ -174,7 +180,9 @@ func (j *Job) start() bool {
 	return true
 }
 
-// finish records the terminal state exactly once.
+// finish records the terminal state exactly once. The onTerminal hook
+// runs before the event stream ends and Done closes, so a waiter on
+// either never sees the job finished ahead of its journal record.
 func (j *Job) finish(state State, output string, err error) {
 	j.mu.Lock()
 	if j.state.Terminal() {
@@ -189,11 +197,31 @@ func (j *Job) finish(state State, output string, err error) {
 		j.errClass, j.exitCode = classify(err)
 	}
 	j.mu.Unlock()
-	j.events.Close()
-	close(j.done)
 	if j.onTerminal != nil {
 		j.onTerminal(j)
 	}
+	j.events.Close()
+	close(j.done)
+}
+
+// terminalRecord is the journal record of j's terminal state: "reject"
+// for a job refused at admission, "finish" otherwise. ok is false while
+// j is not terminal, and for an interrupted job, whose record is
+// withheld so the next boot re-runs it.
+func (j *Job) terminalRecord() (rec walRecord, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.state.Terminal() || j.interrupted {
+		return rec, false
+	}
+	rec = walRecord{Type: "finish", Job: j.ID, State: string(j.state), Error: j.errMsg}
+	if j.rejected {
+		rec.Type = "reject"
+	}
+	if j.state == StateDone {
+		rec.Output = j.output
+	}
+	return rec, true
 }
 
 // view is the JSON rendering of a job for the HTTP API.

@@ -51,6 +51,15 @@ func TestTelemetryEndpoint(t *testing.T) {
 	if snap.Counters["acts"] == 0 || snap.Counters["reads"] == 0 {
 		t.Fatalf("counters empty after run: %v", snap.Counters)
 	}
+	// The counters are the finished simulation's measured dram.Stats.
+	var sum SimSummary
+	if err := json.Unmarshal([]byte(final.Result), &sum); err != nil {
+		t.Fatalf("decode result: %v", err)
+	}
+	if snap.Counters["acts"] != sum.Acts || snap.Counters["reads"] != sum.Reads {
+		t.Errorf("telemetry acts/reads = %d/%d, result says %d/%d",
+			snap.Counters["acts"], snap.Counters["reads"], sum.Acts, sum.Reads)
+	}
 	if snap.Counters["plane_conflicts"] == 0 {
 		t.Errorf("VSB job observed no plane conflicts: %v", snap.Counters)
 	}

@@ -64,13 +64,14 @@ type ClusterRecord struct {
 // walRecord is one journal line.
 type walRecord struct {
 	LSN  int64    `json:"lsn"`
-	Type string   `json:"type"` // submit | start | checkpoint | finish | interrupted | cluster
+	Type string   `json:"type"` // submit | start | checkpoint | finish | reject | interrupted | cluster
 	Job  string   `json:"job,omitempty"`
 	Idem string   `json:"idem,omitempty"`
 	Spec *JobSpec `json:"spec,omitempty"`
 	// cluster payload (Type == "cluster").
 	Cluster *ClusterRecord `json:"cluster,omitempty"`
-	// finish fields: terminal state, rendered output (done only), error.
+	// finish and reject fields: terminal state, rendered output (done
+	// only), error.
 	State  string `json:"state,omitempty"`
 	Output string `json:"output,omitempty"`
 	Error  string `json:"error,omitempty"`
@@ -221,11 +222,15 @@ func replay(recs []walRecord) (jobs []*recoveredJob, byID map[string]*recoveredJ
 			rj := &recoveredJob{id: rec.Job, spec: *rec.Spec, idem: rec.Idem}
 			byID[rec.Job] = rj
 			jobs = append(jobs, rj)
-		case "finish":
+		case "finish", "reject":
 			if rj := byID[rec.Job]; rj != nil {
 				rj.state = State(rec.State)
 				rj.output = rec.Output
 				rj.errMsg = rec.Error
+				if rec.Type == "reject" {
+					// Refused at admission: the key was given back.
+					rj.idem = ""
+				}
 			}
 		case "start", "checkpoint", "interrupted":
 			// Progress markers: useful for audit, not needed to decide
@@ -460,16 +465,9 @@ func compactWAL(fsys errfs.FS, path string, jobs []*Job, clusterRecs []ClusterRe
 		if err := write(walRecord{Type: "submit", Job: j.ID, Idem: j.idemKey, Spec: &spec}); err != nil {
 			return err
 		}
-		j.mu.Lock()
-		state, output, errMsg, interrupted := j.state, j.output, j.errMsg, j.interrupted
-		j.mu.Unlock()
 		// An interrupted job keeps only its submit record — withholding
 		// the terminal record is what makes the next boot re-run it.
-		if state.Terminal() && !interrupted {
-			rec := walRecord{Type: "finish", Job: j.ID, State: string(state), Error: errMsg}
-			if state == StateDone {
-				rec.Output = output
-			}
+		if rec, ok := j.terminalRecord(); ok {
 			if err := write(rec); err != nil {
 				return err
 			}

@@ -345,6 +345,60 @@ func TestIdempotencyKeyAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestRejectedKeyReleasedAcrossRestart: replay gives back the key of a
+// job refused at admission, as reject does at runtime, while a job that
+// failed while running keeps its key. Both the live journal and the
+// one Drain compacts are replayed.
+func TestRejectedKeyReleasedAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Config{Workers: 1, QueueMax: 1, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An impossible read-latency ceiling trips the watchdog, so this job
+	// fails once it runs. Queued while the workers are stopped, it fills
+	// the queue.
+	failing := JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 20_000, Frag: 0.1, Latency: 1}
+	ran, _, err := s1.Submit(failing, SubmitOpts{IdemKey: "ran"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s1.Submit(testSpec(), SubmitOpts{IdemKey: "refused"}); err != ErrQueueFull {
+		t.Fatalf("submit on a full queue: %v, want ErrQueueFull", err)
+	}
+	s1.Start()
+	waitJob(t, ran, 60*time.Second)
+	if st := ran.State(); st != StateFailed {
+		t.Fatalf("job state %s, want failed", st)
+	}
+	live := t.TempDir()
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(live, "journal.wal"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct{ name, dir string }{{"live", live}, {"compacted", dir}} {
+		s := newTestServer(t, Config{WALDir: c.dir})
+		j, replayed, err := s.Submit(failing, SubmitOpts{IdemKey: "ran"})
+		if err != nil || !replayed || j.ID != ran.ID || j.State() != StateFailed {
+			t.Errorf("%s journal: failed job's key: err=%v replayed=%v, want a replay of failed %s", c.name, err, replayed, ran.ID)
+		}
+		j, replayed, err = s.Submit(testSpec(), SubmitOpts{IdemKey: "refused"})
+		if err != nil || replayed {
+			t.Fatalf("%s journal: refused key: err=%v replayed=%v, want a fresh admission", c.name, err, replayed)
+		}
+		waitJob(t, j, 60*time.Second)
+	}
+}
+
 // TestForcedShutdownResumesFromCheckpoint is the end-to-end durability
 // path: a job is interrupted by a forced drain after it has
 // checkpointed, the journal is compacted down to its submit record (the

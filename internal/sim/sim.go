@@ -73,13 +73,14 @@ type Options struct {
 	// scheduling perturbations (chaos runs). The plan is cloned, so one
 	// plan value may parameterize many runs.
 	Faults *faults.Plan
-	// Telemetry, when non-nil, attaches the event tracer and mechanism
-	// counter registry to every channel and controller. Purely
+	// Telemetry, when non-nil, attaches the event tracer and the live
+	// histograms to every channel and controller, and receives the
+	// run's measured Result.DRAM counts once when it finishes. Purely
 	// observational: the command stream, bus cycle count and every Result
 	// field are identical with and without it (proven by
-	// TestTelemetryNonPerturbing). One Set may be shared across
-	// concurrent runs; counters then aggregate and events are tagged
-	// with per-run indices from BeginRun.
+	// TestTelemetryNonPerturbing). One Set may be shared across runs,
+	// concurrent or resumed; the totals then sum the runs and events are
+	// tagged with per-run indices from BeginRun.
 	Telemetry *telemetry.Set
 	// CheckpointEvery, together with CheckpointSink, emits a serialized
 	// full-state checkpoint at the first loop iteration at least
@@ -643,6 +644,9 @@ func (rs *runState) finish(v loopVars, stopErr error) (*Result, error) {
 		}
 	}
 	res.FaultsInjected = rs.plan.Injected()
+	if rs.tel != nil {
+		res.DRAM.Each(rs.tel.C.Add)
+	}
 
 	var mappedHuge, mapped uint64
 	for i, c := range rs.cores {

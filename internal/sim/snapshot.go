@@ -8,7 +8,6 @@ import (
 	"eruca/internal/clock"
 	"eruca/internal/memctrl"
 	"eruca/internal/snapshot"
-	"eruca/internal/telemetry"
 	"eruca/internal/workload"
 )
 
@@ -26,7 +25,11 @@ import (
 //	faults      fault-plan cursor
 //	bridge      event heap, MSHR waiter identities, spill buffer, MPKI
 //	cores       per-core fetch/retire cursors and in-flight reads
-//	telemetry   mechanism counters (events rings restart empty)
+//
+// Telemetry is not machine state and is not serialized: the DRAM counts
+// a resumed run hands its Set are channel state already in the blob,
+// while histograms, fast-forward skips and the event rings restart at
+// the resume point.
 //
 // Closures cannot serialize; the blob stores their identities instead
 // and restore rebinds them: controller transactions carry Tag (the line
@@ -85,15 +88,6 @@ func (rs *runState) snapshot(v loopVars) []byte {
 	rs.br.snapshot(e)
 	for _, c := range rs.cores {
 		c.Snapshot(e)
-	}
-
-	// Telemetry counters aggregate across a crash; event rings restart
-	// empty (they are an observation window, not machine state).
-	if rs.tel != nil {
-		e.Bool(true)
-		rs.tel.C.SnapshotState(e)
-	} else {
-		e.Bool(false)
 	}
 	return e.Seal()
 }
@@ -217,27 +211,7 @@ func (rs *runState) restore(blob []byte) (loopVars, error) {
 	if err := rs.relinkWaiters(); err != nil {
 		return v, err
 	}
-
-	hadTel := d.Bool()
-	if err := d.Err(); err != nil {
-		return v, err
-	}
-	if hadTel {
-		// Counters survive a crash even when the resuming caller brings
-		// no Set of its own (the fields still have to be consumed to
-		// keep the stream aligned).
-		c := &telemetry.Counters{}
-		if rs.tel != nil {
-			c = &rs.tel.C
-		}
-		if err := c.RestoreState(d); err != nil {
-			return v, err
-		}
-	}
-	if err := d.Close(); err != nil {
-		return v, err
-	}
-	return v, nil
+	return v, d.Close()
 }
 
 // snapshot serializes the bridge: the deferred-fill event heap (as the

@@ -19,7 +19,7 @@ import (
 func TestProtocolDumpEmbedsTelemetryTail(t *testing.T) {
 	tel := telemetry.New()
 	opt := Options{
-		Sys: config.VSB(4, true, true, true, config.DefaultBusMHz),
+		Sys:     config.VSB(4, true, true, true, config.DefaultBusMHz),
 		Benches: []string{"mcf"}, Instrs: 30_000, Frag: 0.1, Seed: 7,
 		Check:     &check.Options{Mode: check.Fail},
 		Faults:    burst(faults.TimingReset, 5_000, 500, 4, 0),
@@ -53,7 +53,7 @@ func TestProtocolDumpEmbedsTelemetryTail(t *testing.T) {
 func TestDeadlockReportEmbedsTelemetry(t *testing.T) {
 	tel := telemetry.New()
 	opt := Options{
-		Sys: config.Baseline(config.DefaultBusMHz),
+		Sys:     config.Baseline(config.DefaultBusMHz),
 		Benches: []string{"mcf"}, Instrs: 50_000, Frag: 0.1, Seed: 7,
 		// Impossible latency ceiling: trips as soon as any read queues.
 		Watchdog:  &Watchdog{LatencyCeiling: 1},

@@ -59,16 +59,15 @@ func compareTelemetry(t *testing.T, sys func() *config.System, benches []string)
 		t.Errorf("queue-latency distribution differs")
 	}
 
-	// Counters cover the whole run including warmup, so they bound the
-	// post-warmup dram.Stats from above.
-	if acts := tel.C.Acts.Load(); acts < traced.DRAM.Acts || acts == 0 {
-		t.Errorf("telemetry acts = %d, want >= measured %d and > 0", acts, traced.DRAM.Acts)
-	}
-	if pres := tel.C.Pres.Load(); pres < traced.DRAM.Pres {
-		t.Errorf("telemetry pres = %d < measured %d", pres, traced.DRAM.Pres)
-	}
-	if rd := tel.C.Reads.Load(); rd < traced.DRAM.Reads {
-		t.Errorf("telemetry reads = %d < measured %d", rd, traced.DRAM.Reads)
+	// The Set's totals are the measured dram.Stats, handed over once.
+	counters := tel.Snapshot(0).Counters
+	traced.DRAM.Each(func(name string, v uint64) {
+		if got := counters[name]; got != v {
+			t.Errorf("telemetry %s = %d, want the measured %d", name, got, v)
+		}
+	})
+	if traced.DRAM.Acts == 0 {
+		t.Error("run issued no ACTs")
 	}
 	if tel.C.ReadLatency.N() == 0 || tel.C.RowOpen.N() == 0 || tel.C.InterACT.N() == 0 {
 		t.Error("latency histograms not fed")
@@ -80,7 +79,8 @@ func compareTelemetry(t *testing.T, sys func() *config.System, benches []string)
 func TestTelemetryNonPerturbingBaseline(t *testing.T) {
 	tel := compareTelemetry(t, func() *config.System { return config.Baseline(config.DefaultBusMHz) },
 		[]string{"mcf"})
-	if tel.C.EWLRHits.Load()+tel.C.PlaneConflicts.Load()+tel.C.RAPRedirects.Load() != 0 {
+	c := tel.Snapshot(0).Counters
+	if c["ewlr_hits"]+c["plane_conflicts"]+c["rap_redirects"] != 0 {
 		t.Error("baseline DDR4 must not report ERUCA mechanism events")
 	}
 	if tel.C.FFCyclesSkipped.Load() == 0 {
@@ -89,29 +89,38 @@ func TestTelemetryNonPerturbingBaseline(t *testing.T) {
 }
 
 // TestTelemetryNonPerturbingERUCA pins the contract on the full ERUCA
-// configuration and proves the mechanism counters actually fire there:
-// plane-latch conflicts, partial precharges, DDB savings and the
-// EWLR hit/miss split all observe real events.
+// configuration and proves the mechanisms actually fire there:
+// plane-latch conflicts and DDB savings reach the totals, and every
+// traced ACT carries exactly one side of the EWLR hit/miss split.
 func TestTelemetryNonPerturbingERUCA(t *testing.T) {
 	tel := compareTelemetry(t, func() *config.System { return config.VSB(4, true, true, true, config.DefaultBusMHz) },
 		[]string{"mcf", "lbm", "omnetpp", "gemsFDTD"})
-	if tel.C.PlaneConflicts.Load() == 0 {
+	c := tel.Snapshot(0).Counters
+	if c["plane_conflicts"] == 0 {
 		t.Error("no plane conflicts observed on the 4-plane VSB config")
 	}
-	if tel.C.EWLRHits.Load()+tel.C.EWLRMisses.Load() == 0 {
-		t.Error("EWLR hit/miss counters untouched under an EWLR scheme")
-	}
-	if tel.C.DDBSavedCK.Load() == 0 {
+	if c["ddb_saved_ck"] == 0 {
 		t.Error("DDB saved no bus cycles on a dual-data-bus config")
 	}
 	if len(tel.Events()) == 0 {
 		t.Error("no events captured")
 	}
-	// Every captured DRAM event carries valid coordinates.
+	acts := 0
 	for _, e := range tel.Events() {
+		// Every captured DRAM event carries valid coordinates.
 		if e.Kind <= telemetry.EvREF && int(e.Chan) >= 8 {
 			t.Fatalf("implausible channel in %v", e)
 		}
+		if e.Kind != telemetry.EvACT {
+			continue
+		}
+		acts++
+		if hit, miss := e.Flag&telemetry.FlagEWLRHit != 0, e.Flag&telemetry.FlagEWLRMiss != 0; hit == miss {
+			t.Fatalf("ACT under an EWLR scheme is not exactly one of EWLR hit/miss: %v", e)
+		}
+	}
+	if acts == 0 {
+		t.Error("no ACT traced")
 	}
 }
 
@@ -122,17 +131,18 @@ func TestTelemetryNonPerturbingERUCA(t *testing.T) {
 func TestTelemetrySharedAcrossConcurrentRuns(t *testing.T) {
 	tel := telemetry.New()
 	var wg sync.WaitGroup
+	res := make([]*Result, 2)
 	errs := make([]error, 2)
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			opt := Options{
-				Sys: config.VSB(4, true, true, true, config.DefaultBusMHz),
+				Sys:     config.VSB(4, true, true, true, config.DefaultBusMHz),
 				Benches: []string{"mcf"}, Instrs: 10_000, Frag: 0.1, Seed: int64(7 + i),
 				Telemetry: tel,
 			}
-			_, errs[i] = Run(opt)
+			res[i], errs[i] = Run(opt)
 		}(i)
 	}
 	// Concurrent reader: the live-introspection path.
@@ -160,6 +170,45 @@ func TestTelemetrySharedAcrossConcurrentRuns(t *testing.T) {
 	}
 	if len(runsSeen) != 2 {
 		t.Fatalf("captured events tag %d distinct runs, want 2", len(runsSeen))
+	}
+	if got, want := tel.Snapshot(0).Counters["acts"], res[0].DRAM.Acts+res[1].DRAM.Acts; got != want {
+		t.Fatalf("shared Set acts = %d, want the two runs' sum %d", got, want)
+	}
+}
+
+// TestTelemetrySharedAcrossResume proves a Set shared by a run and a
+// later resumed run sums both: a checkpoint carries no telemetry, and
+// each run hands its measured DRAM counts to the Set once, so resuming
+// into a Set adds to what it holds rather than overwriting it.
+func TestTelemetrySharedAcrossResume(t *testing.T) {
+	tel := telemetry.New()
+	optA := crashOptions(config.Baseline(config.DefaultBusMHz), []string{"mcf"})
+	optA.Telemetry = tel
+	resA, err := Run(optA)
+	if err != nil {
+		t.Fatalf("run A: %v", err)
+	}
+	optB := func() Options {
+		return crashOptions(config.VSB(4, true, true, true, config.DefaultBusMHz), []string{"lbm"})
+	}
+	// B checkpoints under a Set of its own, as a daemon job does before
+	// a crash.
+	first := optB()
+	first.Telemetry = telemetry.New()
+	_, cps := collectCheckpoints(t, first, 2_500)
+	if len(cps) < 2 {
+		t.Fatalf("expected at least 2 checkpoints, got %d", len(cps))
+	}
+	resumed := optB()
+	resumed.Telemetry = tel
+	resB, err := Resume(resumed, cps[len(cps)/2].Blob)
+	if err != nil {
+		t.Fatalf("resume B: %v", err)
+	}
+	want := resA.DRAM.Acts + resB.DRAM.Acts
+	if got := tel.Snapshot(0).Counters["acts"]; got != want || resA.DRAM.Acts == 0 || resB.DRAM.Acts == 0 {
+		t.Fatalf("shared Set acts = %d, want A's %d + resumed B's %d = %d",
+			got, resA.DRAM.Acts, resB.DRAM.Acts, want)
 	}
 }
 

@@ -2,66 +2,60 @@ package telemetry
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
-// Counters is the always-on mechanism counter registry. Every field is a
-// lock-free atomic updated on the simulator hot path regardless of event
-// sampling, so attribution totals are exact even when the trace is
-// decimated. All counts are deterministic per configuration (the
-// command stream does not depend on telemetry), which lets the
-// bench/erucaperf goldens treat them as drift-checked invariants.
+// Counters holds what the telemetry layer observes live, plus the
+// command and mechanism totals handed to it. The live part is the
+// fast-forward skip count, the dropped-event count and four histograms,
+// all lock-free and updated on the simulator hot path regardless of
+// event sampling. The totals arrive through Add once per finished
+// simulation (sim hands over its measured dram.Stats), so they always
+// equal the Result of the runs the Set served.
 type Counters struct {
-	// DRAM command counts.
-	Acts      atomic.Uint64
-	Pres      atomic.Uint64
-	Reads     atomic.Uint64
-	Writes    atomic.Uint64
-	Refreshes atomic.Uint64
-	PreAlls   atomic.Uint64
-
-	// ERUCA mechanism attribution.
-	EWLRHits        atomic.Uint64 // ACTs that reused a driven MWL (≡ VPP activations saved)
-	EWLRMisses      atomic.Uint64 // ACTs under EWLR that had to drive the MWL
-	PartialPres     atomic.Uint64 // PREs that kept the MWL driven
-	PlaneConflicts  atomic.Uint64 // PREs forced by plane-latch conflicts (Fig. 13b)
-	RAPRedirects    atomic.Uint64 // ACTs whose plane ID was RAP-inverted to dodge a collision
-	DDBSavedCK      atomic.Uint64 // bus cycles of tCCD_L/tWTR_L recovered by the dual data bus
 	FFCyclesSkipped atomic.Uint64 // bus cycles jumped by the event-driven run loop
-
-	// Trace bookkeeping.
-	TraceDropped atomic.Uint64 // events lost to a full capture buffer (no/failed spill)
+	TraceDropped    atomic.Uint64 // events lost to a full capture buffer (no/failed spill)
 
 	// Histograms (fixed log2 buckets, lock-free).
 	ReadLatency Hist // read arrival→data, bus cycles
 	QueueAge    Hist // arrival→first issue, bus cycles
 	RowOpen     Hist // row open lifetime ACT→PRE, bus cycles
 	InterACT    Hist // per-rank gap between consecutive ACTs, bus cycles
+
+	mu     sync.Mutex
+	totals []total // in first-Add order
 }
 
-// VPPActsSaved reports the activations the VSB plane-latch reuse path
-// avoided re-driving: identically the EWLR hit count (Sec. IV equates an
-// EWLR hit with a saved MWL activation).
-func (c *Counters) VPPActsSaved() uint64 { return c.EWLRHits.Load() }
+type total struct {
+	name string
+	v    uint64
+}
+
+// Add accumulates v into the named total. Safe for concurrent use.
+func (c *Counters) Add(name string, v uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.totals {
+		if c.totals[i].name == name {
+			c.totals[i].v += v
+			return
+		}
+	}
+	c.totals = append(c.totals, total{name, v})
+}
 
 // Each calls fn for every scalar counter with its canonical snake_case
-// name (the Prometheus metric suffix and the bench metric unit).
-// Deterministic order.
+// name (the Prometheus metric suffix): the totals handed to Add in
+// first-Add order, then ff_cycles_skipped and trace_dropped.
 func (c *Counters) Each(fn func(name string, v uint64)) {
-	fn("acts", c.Acts.Load())
-	fn("pres", c.Pres.Load())
-	fn("reads", c.Reads.Load())
-	fn("writes", c.Writes.Load())
-	fn("refreshes", c.Refreshes.Load())
-	fn("prealls", c.PreAlls.Load())
-	fn("ewlr_hits", c.EWLRHits.Load())
-	fn("ewlr_misses", c.EWLRMisses.Load())
-	fn("partial_pres", c.PartialPres.Load())
-	fn("plane_conflicts", c.PlaneConflicts.Load())
-	fn("rap_redirects", c.RAPRedirects.Load())
-	fn("ddb_saved_ck", c.DDBSavedCK.Load())
+	c.mu.Lock()
+	totals := append([]total(nil), c.totals...)
+	c.mu.Unlock()
+	for _, t := range totals {
+		fn(t.name, t.v)
+	}
 	fn("ff_cycles_skipped", c.FFCyclesSkipped.Load())
-	fn("vpp_acts_saved", c.VPPActsSaved())
 	fn("trace_dropped", c.TraceDropped.Load())
 }
 

@@ -27,12 +27,12 @@ func goldenEvents() ([]Event, []string) {
 		{At: 44, Kind: EvDDBGrant, Arg: 3, Grp: 1},
 		{At: 50, Kind: EvPRE, Row: 0x11, Bank: 2, Sub: 1, Flag: FlagPlaneConflict},
 		{At: 55, Kind: EvPRE, Row: 0x12, Bank: 2, Sub: 0, Flag: FlagPartial},
-		{At: 60, Kind: EvPRE, Bank: 3},            // orphan PRE: instant
-		{At: 64, Kind: EvACT, Row: 0x7, Bank: 1},  // reopened ...
-		{At: 70, Kind: EvACT, Row: 0x8, Bank: 1},  // ... re-ACT closes it
-		{At: 75, Kind: EvACT, Row: 0x9, Bank: 4},  // left open for PREA
-		{At: 76, Kind: EvACT, Row: 0xa, Bank: 5},  // left open for PREA
-		{At: 80, Kind: EvPREA},                    // closes banks 4,5 and the bank-1 span
+		{At: 60, Kind: EvPRE, Bank: 3},           // orphan PRE: instant
+		{At: 64, Kind: EvACT, Row: 0x7, Bank: 1}, // reopened ...
+		{At: 70, Kind: EvACT, Row: 0x8, Bank: 1}, // ... re-ACT closes it
+		{At: 75, Kind: EvACT, Row: 0x9, Bank: 4}, // left open for PREA
+		{At: 76, Kind: EvACT, Row: 0xa, Bank: 5}, // left open for PREA
+		{At: 80, Kind: EvPREA},                   // closes banks 4,5 and the bank-1 span
 		{At: 85, Kind: EvREF},
 		{At: 90, Kind: EvFFSkip, Arg: 1200},
 		{At: 95, Kind: EvACT, Row: 0x30, Run: 1, Chan: 1, Rank: 1, Grp: 2, Bank: 6, Sub: 1, Slot: 2},

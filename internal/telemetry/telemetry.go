@@ -1,18 +1,19 @@
 // Package telemetry is the simulator's observability layer: a typed,
-// cycle-attributed event tracer with per-rank ring buffers, a registry of
-// always-on mechanism counters and log2 latency histograms, and exporters
-// (Chrome trace-event / Perfetto JSON, a compact binary spill format, and
+// cycle-attributed event tracer with per-rank ring buffers, live log2
+// latency histograms, the DRAM command and mechanism totals each
+// finished run hands over from its dram.Stats, and exporters (Chrome
+// trace-event / Perfetto JSON, a compact binary spill format, and
 // Prometheus text via internal/server).
 //
 // The design contract is that telemetry is purely observational: enabling
 // or disabling it must never change a simulated command stream, a bus
 // cycle count, or a sweep table (internal/sim proves this with an audit
-// equivalence test, and the bench/erucaperf goldens fail the build on
-// any mechanism-counter drift). The hot path pays one nil check when telemetry
-// is detached; counters are lock-free atomics; event rings are
-// preallocated and guarded by a single mutex per Set so concurrent
-// readers (the erucad live endpoint, crash dumps) are race-clean while a
-// run is in flight.
+// equivalence test). Sampling and windowing thin only the event trace;
+// histograms and totals never pass through Emit. The hot path pays one
+// nil check when telemetry is detached; histograms are lock-free
+// atomics; event rings are preallocated and guarded by a single mutex
+// per Set so concurrent readers (the erucad live endpoint, crash dumps)
+// are race-clean while a run is in flight.
 package telemetry
 
 import (
@@ -160,7 +161,8 @@ type Options struct {
 	// the crash-dump tail depth).
 	RingDepth int
 	// SampleEvery keeps 1-in-N events (0 or 1 keeps all). Sampling
-	// applies to the event trace only; counters always see every event.
+	// thins only the trace (rings and capture buffer); histograms and
+	// counters are exact at any setting.
 	SampleEvery int
 	// WindowFrom/WindowTo gate tracing to a bus-cycle interval; a zero
 	// WindowTo means no upper bound.
@@ -293,9 +295,10 @@ func (s *Set) Runs() []string {
 // `if tel != nil` and call Emit unconditionally after that.
 func (s *Set) Enabled() bool { return s != nil }
 
-// Emit offers one event to the trace. Counters are NOT updated here —
-// the emitting layer drives Counters directly so that sampling and
-// windowing never perturb attribution totals.
+// Emit offers one event to the trace, subject to the window gate and
+// 1-in-N sampling. Only the trace goes through Emit: the emitting layer
+// feeds the histograms directly and each finished run hands over its
+// totals, so sampling thins the trace and nothing else.
 func (s *Set) Emit(e Event) {
 	if s == nil {
 		return

