@@ -20,8 +20,9 @@ test:
 # harness (fault injection + checker + watchdog under -race), the
 # telemetry rings shared across concurrent runs and snapshot readers,
 # the span ring under concurrent writers and scrapers, concurrent
-# submissions of one idempotency key (ten rounds), and the cluster's
-# routing, tracing and partition paths.
+# submissions of one idempotency key and the runner groups shared by
+# concurrent jobs (ten rounds each), and the cluster's routing, tracing
+# and partition paths.
 race:
 	$(GO) test -race -count=1 -run 'Parallel|Sweep|LogMode|Cancel|SharedFlight' ./internal/exp/
 	$(GO) test -race -count=1 -run 'FastForward|Chaos|TelemetryShared' ./internal/sim/
@@ -32,6 +33,7 @@ race:
 	$(GO) test -race -count=1 ./internal/errfs/
 	$(GO) test -race -count=1 ./internal/server/
 	$(GO) test -race -count=10 -run 'IdempotencyKeyConcurrent' ./internal/server/
+	$(GO) test -race -count=10 -run 'RunnerGroup' ./internal/server/
 	$(GO) test -race -count=1 -run 'Trace|Keepalive|Partition|Slowloris|Placement|Search' ./internal/cluster/
 
 # The whole cluster package five times on one OS thread: membership

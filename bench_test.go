@@ -23,6 +23,7 @@ import (
 	"eruca/internal/config"
 	"eruca/internal/core"
 	"eruca/internal/exp"
+	"eruca/internal/osmem"
 	"eruca/internal/sim"
 	"eruca/internal/workload"
 )
@@ -237,6 +238,23 @@ func BenchmarkAddrMap(b *testing.B) {
 		sink = m.Map(uint64(i) * 0x9E3779B9 & (1<<35 - 1))
 	}
 	_ = sink
+}
+
+// BenchmarkFragment is the set-up every simulation pays: a fresh buddy
+// allocator over the simulated physical memory, fragmented to the
+// paper's two FMFI levels.
+func BenchmarkFragment(b *testing.B) {
+	total := config.Baseline(config.DefaultBusMHz).Geom.TotalBytes()
+	for _, target := range []float64{0.1, 0.5} {
+		b.Run("fmfi="+strconv.FormatFloat(target, 'g', -1, 64), func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				sink = osmem.NewMemory(total, 42).Fragment(target)
+			}
+			_ = sink
+		})
+	}
 }
 
 func BenchmarkPlaneDecide(b *testing.B) {

@@ -44,8 +44,6 @@ type Stats struct {
 	// QueueLatency samples, per read, the bus cycles from arrival to the
 	// issue of its column command (the Fig. 16a metric).
 	QueueLatency stats.Sampler
-	// TotalLatency samples arrival-to-data cycles per read.
-	TotalLatency stats.Sampler
 	// DrainEntered counts write-drain episodes.
 	DrainEntered uint64
 	// Forwarded counts reads served from the write queue.
@@ -112,12 +110,12 @@ type Controller struct {
 	Stats Stats
 }
 
-// LatencyReservoir bounds the per-controller latency samplers: quantile
+// LatencyReservoir bounds the per-controller latency sampler: quantile
 // queries run over at most this many retained samples while counts and
 // means stay exact (stats.Sampler reservoir mode).
 const LatencyReservoir = 8192
 
-// latencySeed seeds the deterministic reservoir PRNGs; a fixed constant
+// latencySeed seeds the deterministic reservoir PRNG; a fixed constant
 // keeps sweep tables byte-identical at any parallelism (the sampler is
 // only ever fed from its own single-threaded controller).
 const latencySeed = 0x43a7_90e5
@@ -125,21 +123,20 @@ const latencySeed = 0x43a7_90e5
 // New builds a controller driving the given channel.
 func New(sys *config.System, ch *dram.Channel) *Controller {
 	c := &Controller{sys: sys, ch: ch, starveCK: 1500}
-	c.armSamplers()
+	c.armSampler()
 	return c
 }
 
-// armSamplers puts the latency samplers in bounded reservoir mode.
-func (c *Controller) armSamplers() {
+// armSampler puts the queue-latency sampler in bounded reservoir mode.
+func (c *Controller) armSampler() {
 	c.Stats.QueueLatency.Reservoir(LatencyReservoir, latencySeed)
-	c.Stats.TotalLatency.Reservoir(LatencyReservoir, latencySeed+1)
 }
 
 // ResetStats clears the controller statistics (the warmup boundary) and
-// re-arms the bounded latency samplers.
+// re-arms the bounded latency sampler.
 func (c *Controller) ResetStats() {
 	c.Stats = Stats{}
-	c.armSamplers()
+	c.armSampler()
 }
 
 // SetTelemetry attaches a telemetry Set for the read-latency histograms;
@@ -376,7 +373,6 @@ func (c *Controller) complete(t *Transaction, now clock.Cycle, q []*Transaction,
 		dataAt = c.ch.ReadDataAt(now)
 		c.Stats.ReadsDone++
 		c.Stats.QueueLatency.Add(float64(now - t.Arrive))
-		c.Stats.TotalLatency.Add(float64(dataAt - t.Arrive))
 		if c.tel != nil {
 			c.tel.C.QueueAge.Observe(now - t.Arrive)
 			c.tel.C.ReadLatency.Observe(dataAt - t.Arrive)

@@ -35,7 +35,6 @@ func (c *Controller) Snapshot(e *snapshot.Encoder) {
 	e.U64(c.Stats.ReadsDone)
 	e.U64(c.Stats.WritesDone)
 	c.Stats.QueueLatency.Snapshot(e)
-	c.Stats.TotalLatency.Snapshot(e)
 	e.U64(c.Stats.DrainEntered)
 	e.U64(c.Stats.Forwarded)
 	e.U64(c.Stats.Ticks)
@@ -101,7 +100,6 @@ func (c *Controller) Restore(d *snapshot.Decoder,
 	c.Stats.ReadsDone = d.U64()
 	c.Stats.WritesDone = d.U64()
 	c.Stats.QueueLatency.Restore(d)
-	c.Stats.TotalLatency.Restore(d)
 	c.Stats.DrainEntered = d.U64()
 	c.Stats.Forwarded = d.U64()
 	c.Stats.Ticks = d.U64()

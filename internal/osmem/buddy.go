@@ -14,7 +14,6 @@ package osmem
 import (
 	"math/rand"
 
-	"eruca/internal/diag"
 	"eruca/internal/rng"
 )
 
@@ -28,17 +27,13 @@ const (
 	HugeBytes = FrameBytes << MaxOrder
 )
 
-// Memory is a physical-memory buddy allocator. It is not safe for
-// concurrent use.
+// Memory is a physical-memory buddy allocator. It has no free path:
+// every allocation, the fragmenter's included, lasts as long as the
+// Memory, so blocks only ever split and never coalesce. It is not safe
+// for concurrent use.
 type Memory struct {
-	frames uint32
-	free   [MaxOrder + 1][]uint32 // stacks of free block start frames
-	// inFree tracks which (start,order) blocks are free, for coalescing:
-	// one bitset per order indexed by start>>order. Bitsets replace the
-	// map the allocator first shipped with — the fragmenter's mass
-	// free/coalesce cycles made map hashing the single hottest setup
-	// path of every simulation run.
-	inFree     [MaxOrder + 1][]uint64
+	frames     uint32
+	free       [MaxOrder + 1][]uint32 // stacks of free block start frames
 	freeFrames uint32
 	rng        *rand.Rand
 	src        *rng.Source // counting source behind rng, for checkpoint/restore
@@ -51,37 +46,14 @@ func NewMemory(totalBytes uint64, seed int64) *Memory {
 	blocks := uint32(totalBytes / HugeBytes)
 	m := &Memory{frames: blocks << MaxOrder}
 	m.rng, m.src = rng.New(seed)
-	for o := 0; o <= MaxOrder; o++ {
-		m.inFree[o] = make([]uint64, (uint64(m.frames>>uint(o))+63)/64)
-	}
 	m.freeFrames = m.frames
 	// Push in descending address order so allocation proceeds from low
 	// addresses upward, like a freshly booted system.
 	for b := int(blocks) - 1; b >= 0; b-- {
-		start := uint32(b) << MaxOrder
-		m.free[MaxOrder] = append(m.free[MaxOrder], start)
-		m.setFree(start, MaxOrder)
+		m.free[MaxOrder] = append(m.free[MaxOrder], uint32(b)<<MaxOrder)
 	}
 	return m
 }
-
-func (m *Memory) isFree(start uint32, order int) bool {
-	i := start >> uint(order)
-	return m.inFree[order][i>>6]&(1<<(i&63)) != 0
-}
-
-func (m *Memory) setFree(start uint32, order int) {
-	i := start >> uint(order)
-	m.inFree[order][i>>6] |= 1 << (i & 63)
-}
-
-func (m *Memory) clearFree(start uint32, order int) {
-	i := start >> uint(order)
-	m.inFree[order][i>>6] &^= 1 << (i & 63)
-}
-
-// FreeBytes reports the free physical memory.
-func (m *Memory) FreeBytes() uint64 { return uint64(m.freeFrames) * FrameBytes }
 
 // TotalBytes reports the managed capacity.
 func (m *Memory) TotalBytes() uint64 { return uint64(m.frames) * FrameBytes }
@@ -96,53 +68,16 @@ func (m *Memory) Alloc(order int) (start uint32, ok bool) {
 		}
 		blk := m.free[o][n-1]
 		m.free[o] = m.free[o][:n-1]
-		m.clearFree(blk, o)
 		// Split down, pushing upper halves so the lower half is served
 		// first (keeps consecutive allocations contiguous).
 		for o > order {
 			o--
-			upper := blk + 1<<uint(o)
-			m.free[o] = append(m.free[o], upper)
-			m.setFree(upper, o)
+			m.free[o] = append(m.free[o], blk+1<<uint(o))
 		}
 		m.freeFrames -= 1 << uint(order)
 		return blk, true
 	}
 	return 0, false
-}
-
-// Free returns a block to the allocator, coalescing with free buddies.
-func (m *Memory) Free(start uint32, order int) {
-	diag.Invariant(start&(1<<uint(order)-1) == 0,
-		"osmem: Free of misaligned block %d order %d", start, order)
-	m.freeFrames += 1 << uint(order)
-	for order < MaxOrder {
-		buddy := start ^ 1<<uint(order)
-		if !m.isFree(buddy, order) {
-			break
-		}
-		// Remove the buddy from its free list and merge.
-		m.clearFree(buddy, order)
-		m.removeFromList(buddy, order)
-		if buddy < start {
-			start = buddy
-		}
-		order++
-	}
-	m.free[order] = append(m.free[order], start)
-	m.setFree(start, order)
-}
-
-func (m *Memory) removeFromList(start uint32, order int) {
-	lst := m.free[order]
-	for i := len(lst) - 1; i >= 0; i-- {
-		if lst[i] == start {
-			lst[i] = lst[len(lst)-1]
-			m.free[order] = lst[:len(lst)-1]
-			return
-		}
-	}
-	diag.Invariantf("osmem: free block %d order %d not on list", start, order)
 }
 
 // FMFI reports the free-memory fragmentation index at huge-page
@@ -173,16 +108,17 @@ func (m *Memory) Fragment(target float64) float64 {
 		blk := m.free[MaxOrder][idx]
 		m.free[MaxOrder][idx] = m.free[MaxOrder][n-1]
 		m.free[MaxOrder] = m.free[MaxOrder][:n-1]
-		m.clearFree(blk, MaxOrder)
 		victim := blk + uint32(m.rng.Intn(1<<MaxOrder))
-		// Re-free every frame except the victim; coalescing rebuilds the
-		// largest possible sub-blocks around it.
-		m.freeFrames -= 1 << MaxOrder
-		for f := blk; f < blk+1<<MaxOrder; f++ {
-			if f != victim {
-				m.Free(f, 0)
-			}
+		// The other 511 frames form nine free blocks, one per order 0–8:
+		// the buddy of the victim's ancestor at that order. Freeing the
+		// frames one by one in ascending order would coalesce into
+		// exactly these, each left at the tail of its list as here, since
+		// every merge removes the block pushed last
+		// (TestFragmentMatchesReference).
+		for o := 0; o < MaxOrder; o++ {
+			m.free[o] = append(m.free[o], victim&^(1<<uint(o)-1)^1<<uint(o))
 		}
+		m.freeFrames--
 	}
 	return m.FMFI()
 }

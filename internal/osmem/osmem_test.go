@@ -7,19 +7,19 @@ import (
 
 func TestAllocFreeRoundTrip(t *testing.T) {
 	m := NewMemory(64<<20, 1) // 32 huge blocks
-	if m.FreeBytes() != 64<<20 {
-		t.Fatalf("free = %d", m.FreeBytes())
+	if freeBytes(m) != 64<<20 {
+		t.Fatalf("free = %d", freeBytes(m))
 	}
 	blk, ok := m.Alloc(MaxOrder)
 	if !ok {
 		t.Fatal("huge alloc failed on empty memory")
 	}
-	if m.FreeBytes() != 62<<20 {
-		t.Errorf("free after huge alloc = %d", m.FreeBytes())
+	if freeBytes(m) != 62<<20 {
+		t.Errorf("free after huge alloc = %d", freeBytes(m))
 	}
-	m.Free(blk, MaxOrder)
-	if m.FreeBytes() != 64<<20 {
-		t.Errorf("free after release = %d", m.FreeBytes())
+	refFree(m, blk, MaxOrder)
+	if freeBytes(m) != 64<<20 {
+		t.Errorf("free after release = %d", freeBytes(m))
 	}
 }
 
@@ -52,7 +52,7 @@ func TestCoalescingRebuildsHugeBlocks(t *testing.T) {
 		t.Fatalf("huge blocks free = %d, want 1", got)
 	}
 	for _, f := range frames {
-		m.Free(f, 0)
+		refFree(m, f, 0)
 	}
 	if got := len(m.free[MaxOrder]); got != 2 {
 		t.Errorf("huge blocks after coalesce = %d, want 2", got)
@@ -69,7 +69,7 @@ func TestMisalignedFreePanics(t *testing.T) {
 			t.Error("misaligned free did not panic")
 		}
 	}()
-	m.Free(3, 2)
+	refFree(m, 3, 2)
 }
 
 func TestFragmentHitsTarget(t *testing.T) {
@@ -86,7 +86,7 @@ func TestFragmentHitsTarget(t *testing.T) {
 func TestAllocFreeConservation(t *testing.T) {
 	f := func(orders []uint8) bool {
 		m := NewMemory(32<<20, 7)
-		total := m.FreeBytes()
+		total := freeBytes(m)
 		type blk struct {
 			start uint32
 			order int
@@ -99,9 +99,9 @@ func TestAllocFreeConservation(t *testing.T) {
 			}
 		}
 		for _, b := range held {
-			m.Free(b.start, b.order)
+			refFree(m, b.start, b.order)
 		}
-		return m.FreeBytes() == total && m.FMFI() == 0
+		return freeBytes(m) == total && m.FMFI() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -10,8 +10,7 @@ import (
 // Snapshot serializes the allocator's mutable state: the per-order free
 // lists in exact LIFO order (allocation order matters — Alloc pops the
 // most recently pushed block) and the fragmenter PRNG cursor. The
-// inFree bitsets and freeFrames counter are derived from the free lists
-// on restore.
+// freeFrames counter is derived from the free lists on restore.
 func (m *Memory) Snapshot(e *snapshot.Encoder) {
 	e.U32(m.frames)
 	for o := 0; o <= MaxOrder; o++ {
@@ -37,9 +36,6 @@ func (m *Memory) Restore(d *snapshot.Decoder) error {
 	}
 	var freeFrames uint32
 	for o := 0; o <= MaxOrder; o++ {
-		for i := range m.inFree[o] {
-			m.inFree[o][i] = 0
-		}
 		n := d.Count(4)
 		m.free[o] = m.free[o][:0]
 		for i := 0; i < n; i++ {
@@ -51,7 +47,6 @@ func (m *Memory) Restore(d *snapshot.Decoder) error {
 				return fmt.Errorf("osmem: snapshot free block %d order %d out of range", start, o)
 			}
 			m.free[o] = append(m.free[o], start)
-			m.setFree(start, o)
 			freeFrames += 1 << uint(o)
 		}
 	}

@@ -86,10 +86,10 @@ func TestAllocFailureGraceful(t *testing.T) {
 	if _, ok := m.Alloc(0); ok {
 		t.Fatal("frame alloc succeeded on fully allocated memory")
 	}
-	m.Free(a, MaxOrder)
-	m.Free(b, MaxOrder)
-	if m.FreeBytes() != 4<<20 {
-		t.Errorf("free bytes after recovery = %d", m.FreeBytes())
+	refFree(m, a, MaxOrder)
+	refFree(m, b, MaxOrder)
+	if freeBytes(m) != 4<<20 {
+		t.Errorf("free bytes after recovery = %d", freeBytes(m))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestFragmentedAllocDistinct(t *testing.T) {
 		for i := 0; i < 1000; i++ {
 			fr, ok := m.Alloc(0)
 			if !ok {
-				return m.FreeBytes() == 0
+				return freeBytes(m) == 0
 			}
 			if seen[fr] {
 				return false

@@ -67,11 +67,17 @@ func (e *searchEval) Eval(ctx context.Context, key string, a map[string]string, 
 // first: local result cache, cluster cache shard, cluster fan-out
 // (EvalRemote), local execution. It never goes through the job queue —
 // the search already holds a worker slot, and queueing child jobs
-// behind their own parent would deadlock a full worker pool. Local
-// execution still dedups through the shared singleflight runners, so a
-// concurrent sweep or sim job asking for the same simulation joins
-// rather than re-running it.
+// behind their own parent would deadlock a full worker pool. Like a
+// queued job it holds its runner group from before the cache lookup
+// until the output is cached, so a concurrent sweep, sim job or
+// evaluation asking for the same simulation joins rather than re-runs
+// it.
 func (s *Server) evalPoint(ctx context.Context, job *Job, spec JobSpec) (string, error) {
+	runner, release, err := s.acquireRunner(spec)
+	if err != nil {
+		return "", err
+	}
+	defer release()
 	hash := spec.Hash()
 	if e, ok := s.cache.Get(hash); ok {
 		s.metrics.searchCacheHits.Add(1)
@@ -94,10 +100,6 @@ func (s *Server) evalPoint(ctx context.Context, job *Job, spec JobSpec) (string,
 			s.cache.Put(cacheEntry{Hash: hash, Kind: "eval", Output: out})
 			return out, nil
 		}
-	}
-	runner, err := s.runnerFor(spec)
-	if err != nil {
-		return "", err
 	}
 	view := runner.WithContext(ctx).WithLog(job.events.Append).WithTelemetry(job.tel)
 	if s.ckpts != nil {

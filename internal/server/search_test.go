@@ -121,8 +121,8 @@ func TestEvalJobKind(t *testing.T) {
 	}
 
 	// Same canonical point, different spelling (ewlr_bits is masked
-	// under ewlr=off): new job hash, same simulation — the runner's
-	// launched counter must not move.
+	// under ewlr=off): same job hash, so the result cache serves it —
+	// the launched counter must not move.
 	launched, _, _ := s.runnerCounters()
 	j2, _, err := s.Submit(JobSpec{Kind: "eval",
 		Point: map[string]string{"planes": "2", "ewlr": "off", "ewlr_bits": "4"}, Instrs: 4000}, SubmitOpts{})

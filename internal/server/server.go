@@ -172,7 +172,10 @@ type Server struct {
 	baseStop context.CancelFunc
 
 	runnerMu sync.Mutex
-	runners  map[string]*exp.Runner // groupKey -> shared singleflight runner
+	runners  map[string]*runnerGroup // groupKey -> group a job or evaluation is running on
+	// runsLaunched and runsJoined total the runner counters of the
+	// groups already released.
+	runsLaunched, runsJoined int64
 
 	// Durability (nil / empty when Config.WALDir is unset).
 	wal   *wal
@@ -210,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		queue:   newQueue(cfg.QueueMax),
 		cache:   newResultCache(cfg.CacheMax),
 		jobs:    newRegistry(prefix),
-		runners: make(map[string]*exp.Runner),
+		runners: make(map[string]*runnerGroup),
 		idem:    make(map[string]string),
 	}
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
@@ -599,33 +602,55 @@ func (s *Server) Cancel(id string) bool {
 	return j != nil && j.Cancel()
 }
 
-// runnerFor returns (building on demand) the shared singleflight runner
-// of the spec's parameter group. Specs with identical scaling and
-// robustness knobs land on the same runner, so their simulations dedup
-// even across different figures and job kinds.
-func (s *Server) runnerFor(spec JobSpec) (*exp.Runner, error) {
+// runnerGroup is the shared singleflight runner of one parameter group
+// and the number of jobs and evaluations running on it.
+type runnerGroup struct {
+	r    *exp.Runner
+	refs int
+}
+
+// acquireRunner returns the shared singleflight runner of the spec's
+// parameter group, building it on demand. Specs with identical scaling
+// and robustness knobs that run at the same time land on the same
+// runner, so their simulations dedup even across different figures and
+// job kinds. The caller must call release when it stops using the
+// runner: the last release drops the group and the Results it memoized,
+// so an idle daemon holds none.
+func (s *Server) acquireRunner(spec JobSpec) (r *exp.Runner, release func(), err error) {
 	key := spec.groupKey()
 	s.runnerMu.Lock()
 	defer s.runnerMu.Unlock()
-	if r, ok := s.runners[key]; ok {
-		return r, nil
+	g, ok := s.runners[key]
+	if !ok {
+		p, err := spec.params()
+		if err != nil {
+			return nil, nil, err
+		}
+		p.Parallel = s.cfg.SimParallel
+		g = &runnerGroup{r: exp.NewRunner(p)}
+		s.runners[key] = g
 	}
-	p, err := spec.params()
-	if err != nil {
-		return nil, err
-	}
-	p.Parallel = s.cfg.SimParallel
-	r := exp.NewRunner(p)
-	s.runners[key] = r
-	return r, nil
+	g.refs++
+	return g.r, func() {
+		s.runnerMu.Lock()
+		defer s.runnerMu.Unlock()
+		if g.refs--; g.refs == 0 {
+			l, j := g.r.Counters()
+			s.runsLaunched += l
+			s.runsJoined += j
+			delete(s.runners, key)
+		}
+	}, nil
 }
 
-// runnerCounters sums the dedup evidence across runner groups.
+// runnerCounters sums the dedup evidence of every runner group, released
+// or running, and counts the running groups.
 func (s *Server) runnerCounters() (launched, joined int64, pools int) {
 	s.runnerMu.Lock()
 	defer s.runnerMu.Unlock()
-	for _, r := range s.runners {
-		l, j := r.Counters()
+	launched, joined = s.runsLaunched, s.runsJoined
+	for _, g := range s.runners {
+		l, j := g.r.Counters()
 		launched += l
 		joined += j
 	}
@@ -700,13 +725,49 @@ func (s *Server) runJob(job *Job) {
 	defer s.metrics.inflight.Add(-1)
 	start := time.Now()
 
+	out, err := s.produce(job)
+	switch {
+	case err == nil:
+		job.finish(StateDone, out, nil)
+		s.metrics.jobDone("ok", time.Since(start).Seconds())
+	case isCanceled(err) || job.ctx.Err() != nil:
+		job.finish(StateCanceled, out, err)
+		s.metrics.jobDone("canceled", time.Since(start).Seconds())
+	default:
+		job.finish(StateFailed, out, err)
+		class, _ := classify(err)
+		s.metrics.jobDone(class, time.Since(start).Seconds())
+	}
+}
+
+// produce computes a started job's output, cheapest source first: the
+// local result cache, the cluster's cache shard, then a run, whose
+// output it caches. A job other than a search (whose evaluations hold
+// their own groups, see evalPoint) holds its runner group from before
+// the cache lookup until the output is cached, so a concurrent
+// duplicate either runs on the same group (and joins the simulation)
+// or finds the output in the cache; it never simulates again in
+// between.
+func (s *Server) produce(job *Job) (string, error) {
 	// The schedule span covers the dispatch decision: cache probes and
 	// runner selection, between worker pickup and execution.
 	sched := s.tracer().Start(job.trace, obs.KindSchedule, "schedule")
 	sched.SetJob(job.ID)
+	kind := job.Spec.normalized().Kind
+	var runner *exp.Runner
+	if kind != "search" {
+		r, release, err := s.acquireRunner(job.Spec)
+		if err != nil {
+			sched.SetError(err)
+			sched.End()
+			return "", err
+		}
+		defer release()
+		runner = r
+	}
 
 	// Content-addressed fast path: an identical completed spec is
-	// served from the cache without touching a runner.
+	// served from the cache without running anything.
 	cl := s.tracer().Start(sched.Context(), obs.KindCacheLookup, "cache lookup")
 	cl.SetJob(job.ID)
 	if e, ok := s.cache.Get(job.Hash); ok {
@@ -718,9 +779,7 @@ func (s *Server) runJob(job *Job) {
 		job.cacheHit = true
 		job.mu.Unlock()
 		job.events.Append("result cache hit")
-		job.finish(StateDone, e.Output, nil)
-		s.metrics.jobDone("ok", time.Since(start).Seconds())
-		return
+		return e.Output, nil
 	}
 	s.metrics.cacheMisses.Add(1)
 
@@ -732,57 +791,38 @@ func (s *Server) runJob(job *Job) {
 			cl.SetAttr("hit", "cluster")
 			cl.End()
 			sched.End()
-			s.cache.Put(cacheEntry{Hash: job.Hash, Kind: job.Spec.normalized().Kind, Output: out})
+			s.cache.Put(cacheEntry{Hash: job.Hash, Kind: kind, Output: out})
 			s.metrics.remoteCacheHits.Add(1)
 			job.mu.Lock()
 			job.cacheHit = true
 			job.mu.Unlock()
 			job.events.Append("result fetched from cluster cache shard")
-			job.finish(StateDone, out, nil)
-			s.metrics.jobDone("ok", time.Since(start).Seconds())
-			return
+			return out, nil
 		}
 	}
 	cl.SetAttr("hit", "miss")
 	cl.End()
 
+	if s.wal != nil {
+		ws := s.tracer().Start(sched.Context(), obs.KindWALAppend, "wal start")
+		ws.SetJob(job.ID)
+		_ = s.journalAppend(walRecord{Type: "start", Job: job.ID})
+		ws.End()
+	}
+	sched.End()
 	var out string
 	var err error
 	var run *obs.ActiveSpan
-	if job.Spec.normalized().Kind == "search" {
+	if kind == "search" {
 		// Search jobs drive the autotuner engine, which fans out into
 		// per-point "eval" executions against the server's own caches and
 		// (via Config.EvalRemote) the cluster — see search.go.
-		if s.wal != nil {
-			ws := s.tracer().Start(sched.Context(), obs.KindWALAppend, "wal start")
-			ws.SetJob(job.ID)
-			_ = s.journalAppend(walRecord{Type: "start", Job: job.ID})
-			ws.End()
-		}
-		sched.End()
 		run = s.tracer().Start(job.trace, obs.KindRun, "run search")
 		run.SetJob(job.ID)
 		// The run span's context rides job.ctx so the eval fan-out hop
 		// spans (cluster layer) parent under this run.
 		out, err = s.runSearch(obs.ContextWith(job.ctx, run.Context()), job)
 	} else {
-		var runner *exp.Runner
-		runner, err = s.runnerFor(job.Spec)
-		if err != nil {
-			sched.SetError(err)
-			sched.End()
-			job.finish(StateFailed, "", err)
-			class, _ := classify(err)
-			s.metrics.jobDone(class, time.Since(start).Seconds())
-			return
-		}
-		if s.wal != nil {
-			ws := s.tracer().Start(sched.Context(), obs.KindWALAppend, "wal start")
-			ws.SetJob(job.ID)
-			_ = s.journalAppend(walRecord{Type: "start", Job: job.ID})
-			ws.End()
-		}
-		sched.End()
 		run = s.tracer().Start(job.trace, obs.KindRun, "run")
 		run.SetJob(job.ID)
 		ctx := obs.ContextWith(job.ctx, run.Context())
@@ -794,20 +834,10 @@ func (s *Server) runJob(job *Job) {
 	}
 	run.SetError(err)
 	run.End()
-
-	switch {
-	case err == nil:
-		s.cache.Put(cacheEntry{Hash: job.Hash, Kind: job.Spec.normalized().Kind, Output: out})
-		job.finish(StateDone, out, nil)
-		s.metrics.jobDone("ok", time.Since(start).Seconds())
-	case isCanceled(err) || job.ctx.Err() != nil:
-		job.finish(StateCanceled, out, err)
-		s.metrics.jobDone("canceled", time.Since(start).Seconds())
-	default:
-		job.finish(StateFailed, out, err)
-		class, _ := classify(err)
-		s.metrics.jobDone(class, time.Since(start).Seconds())
+	if err == nil {
+		s.cache.Put(cacheEntry{Hash: job.Hash, Kind: kind, Output: out})
 	}
+	return out, err
 }
 
 // isCanceled reports whether err stems from context cancellation.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -81,10 +82,14 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 	}
 
 	// Exactly one simulation ran; the other N-1 jobs were served by a
-	// singleflight join or the result cache.
-	launched, joined, _ := s.runnerCounters()
+	// singleflight join or the result cache. The group they shared was
+	// released with the last of them, its counters kept.
+	launched, joined, pools := s.runnerCounters()
 	if launched != 1 {
 		t.Errorf("launched %d simulations, want exactly 1", launched)
+	}
+	if pools != 0 {
+		t.Errorf("%d runner groups left after every job finished, want 0", pools)
 	}
 	hits := s.metrics.cacheHits.Load()
 	if joined+hits < n-1 {
@@ -119,6 +124,79 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 	}
 	if got := j.Output(); got != want {
 		t.Errorf("cached output differs: %q", got)
+	}
+}
+
+// TestRunnerGroupsReleased pins the daemon's memory to its running
+// work: each finished job releases its runner group (and the Results
+// it memoized), while /metrics keeps counting the simulations run.
+func TestRunnerGroupsReleased(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2})
+	const n = 3
+	for seed := int64(1); seed <= n; seed++ {
+		j, _, err := s.Submit(JobSpec{Kind: "sim", Instrs: 4000, Frag: 0.1, Seed: seed}, SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j, 60*time.Second)
+		if st := j.State(); st != StateDone {
+			t.Fatalf("job %s state %s, want done (%s)", j.ID, st, jobEvents(j))
+		}
+		if _, _, pools := s.runnerCounters(); pools != 0 {
+			t.Fatalf("%d runner groups left after job at seed %d finished, want 0", pools, seed)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{"eruca_sim_runs_total 3\n", "eruca_runner_pools 0\n"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, grepMetrics(rec.Body.String(), "eruca_"))
+		}
+	}
+}
+
+// TestRunnerGroupConcurrent runs jobs of one parameter group from many
+// workers at once, round after round: each round's group is created,
+// shared, and released exactly once, and no simulation it launched is
+// lost from (or counted twice in) the daemon's totals.
+func TestRunnerGroupConcurrent(t *testing.T) {
+	const n, rounds = 4, 3
+	s := newTestServer(t, Config{Workers: n, SimParallel: 2})
+	for round := 0; round < rounds; round++ {
+		jobs := make([]*Job, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				// One group (same instrs, seed and knobs), distinct
+				// results: every job launches its own simulation.
+				spec := JobSpec{Kind: "sim", Instrs: 4000, Frag: float64(round*n+i+1) / 100}
+				j, _, err := s.Submit(spec, SubmitOpts{})
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				jobs[i] = j
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for _, j := range jobs {
+			waitJob(t, j, 60*time.Second)
+			if st := j.State(); st != StateDone {
+				t.Fatalf("job %s state %s, want done (%s)", j.ID, st, jobEvents(j))
+			}
+		}
+		launched, _, pools := s.runnerCounters()
+		if pools != 0 {
+			t.Fatalf("round %d: %d runner groups left, want 0", round, pools)
+		}
+		if want := int64((round + 1) * n); launched != want {
+			t.Fatalf("round %d: %d simulations counted, want %d", round, launched, want)
+		}
 	}
 }
 
@@ -443,6 +521,16 @@ func TestSpecHashNormalization(t *testing.T) {
 	d.Seed = 7
 	if a.Hash() == d.Hash() {
 		t.Error("seed change did not change the hash")
+	}
+}
+
+// Two spellings of one design point are one eval job: ewlr_bits is
+// masked under ewlr=off, so giving it a value changes nothing.
+func TestEvalPointAliasHash(t *testing.T) {
+	a := JobSpec{Kind: "eval", Point: map[string]string{"planes": "2", "ewlr": "off"}}
+	b := JobSpec{Kind: "eval", Point: map[string]string{"planes": "2", "ewlr": "off", "ewlr_bits": "4"}}
+	if a.Hash() != b.Hash() {
+		t.Error("aliased eval points hash differently")
 	}
 }
 

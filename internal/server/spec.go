@@ -104,6 +104,14 @@ func (s JobSpec) normalized() JobSpec {
 	if n.Kind == "eval" && n.Mix == "" {
 		n.Mix = "mix0"
 	}
+	if n.Kind == "eval" && len(n.Point) > 0 {
+		// Spellings of one design point (a masked dimension given a
+		// value, a default left out) are one point; an invalid point is
+		// left for Validate to reject.
+		if a, err := search.ParseAssignment(n.Point); err == nil {
+			n.Point = a
+		}
+	}
 	if n.Kind == "search" && n.Search != nil {
 		// The search spec normalizes its own defaults so two specs that
 		// mean the same search hash identically (same rule as the job

@@ -120,7 +120,6 @@ type Result struct {
 	DRAM     dram.Stats // summed over channels
 	Energy   energy.Breakdown
 	QueueLat *stats.Sampler // read queueing latency, ns
-	TotalLat *stats.Sampler // read arrival-to-data latency, ns
 
 	HugeCoverage float64 // fraction of mapped memory backed by huge pages
 	AchievedFMFI float64
@@ -608,7 +607,6 @@ func (rs *runState) finish(v loopVars, stopErr error) (*Result, error) {
 		BusCycles:    bus - busAtWarm,
 		ElapsedNS:    sys.Bus.NS(bus - busAtWarm),
 		QueueLat:     &stats.Sampler{},
-		TotalLat:     &stats.Sampler{},
 		AchievedFMFI: rs.achieved,
 	}
 	busNS := sys.Bus.PeriodNS()
@@ -618,7 +616,6 @@ func (rs *runState) finish(v loopVars, stopErr error) (*Result, error) {
 		ch.Finish(bus)
 		res.DRAM.Add(ch.Stats)
 		res.QueueLat.Merge(&ctl.Stats.QueueLatency, busNS)
-		res.TotalLat.Merge(&ctl.Stats.TotalLatency, busNS)
 		res.BankLoad = append(res.BankLoad, ch.BankLoad()...)
 		res.AvgReadQueueDepth += ctl.Stats.AvgReadQueueDepth() / float64(len(ctls))
 		res.AvgWriteQueueDepth += ctl.Stats.AvgWriteQueueDepth() / float64(len(ctls))
