@@ -87,12 +87,15 @@ chaos-mesh:
 # and the snapshot container decoder (must reject corruption with typed
 # errors, never panic or over-allocate), plus the service tier's
 # attacker-facing parsers: the -chaos DSL and the W3C traceparent
-# header.
+# header. FuzzPlanMemo drives random command sequences, refreshes,
+# fault hooks and restores through a channel and requires every
+# memoized scheduler plan to equal a fresh evaluation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFaultPlan' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/snapshot/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosPlan' -fuzztime 10s ./internal/chaosnet/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceparentParse' -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz 'FuzzPlanMemo' -fuzztime 10s ./internal/dram/
 
 # Determinism smoke of the autotuner: the same tiny 2-dim search
 # (successive halving over planes x ddb) run twice — once parallel,

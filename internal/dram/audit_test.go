@@ -153,7 +153,7 @@ func TestChannelNeverViolatesAudit(t *testing.T) {
 			}
 			write := rng&1 == 0
 			for j := 0; j < 6; j++ {
-				st := ch.NextStep(tgt, write)
+				st := ch.nextStep(tgt, write)
 				e := ch.EarliestIssue(st.Cmd)
 				if e < now {
 					e = now

@@ -69,6 +69,9 @@ type bank struct {
 	lastWrData clock.Cycle
 	// colCount counts column commands served, for utilization profiles.
 	colCount uint64
+
+	// ver is the bank's Plan stamp: every command to the bank moves it.
+	ver uint64
 }
 
 // group is one bank group with its shared chip-global bus resources.
@@ -109,6 +112,12 @@ type rank struct {
 	// Background-energy integration.
 	lastEnergyAt clock.Cycle
 	activeAccum  uint64
+
+	// Plan stamps. refVer moves on every refresh transition (refresh
+	// due, PREA, REF), which every command's timing reads; actVer moves
+	// on every ACT to the rank, which only ACT timing reads (tRRD, tFAW).
+	refVer uint64
+	actVer uint64
 }
 
 func (r *rank) observe(now clock.Cycle, st *Stats) {

@@ -22,6 +22,11 @@ type Channel struct {
 	busLastRead  bool
 	lastCol      clock.Cycle // channel-level tCCD_S base
 
+	// colVer is the channel's Plan stamp for column timing: every RD/WR
+	// moves it, since each one changes tCCD_S, the data bus, a DDB
+	// window or a tWTR base that another bank's RD/WR reads.
+	colVer uint64
+
 	planes  *core.PlaneLogic // nil when the scheme has no planes
 	masa    core.MASASlots
 	hasMASA bool
@@ -258,6 +263,7 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 	slot := &sb.slots[c.Slot]
 	rk.observe(now, &ch.Stats)
 	ch.observe(c, now)
+	bk.ver++
 
 	switch c.Kind {
 	case CmdACT:
@@ -278,6 +284,7 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 		rk.lastAct = now
 		rk.faw[rk.fawIdx] = now
 		rk.fawIdx = (rk.fawIdx + 1) % len(rk.faw)
+		rk.actVer++
 		sb.openCount++
 		rk.openSubs++
 		ch.Stats.Acts++
@@ -338,6 +345,7 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 		sb.sel = c.Slot
 		grp.lastCol = now
 		ch.lastCol = now
+		ch.colVer++
 		slot.lastUse = now
 		ch.ddbWindow(rk, c.Group, grp).Record(now, read)
 		if read {
@@ -394,6 +402,7 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 			if now >= rk.nextRefresh {
 				rk.refPending = true
 				rk.preaAt = never
+				rk.refVer++
 			} else {
 				continue
 			}
@@ -439,6 +448,7 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 			rk.openSubs = 0
 			ch.Stats.PreAlls++
 			rk.preaAt = now
+			rk.refVer++
 			prea := Command{Kind: CmdPREA, Rank: rankIndex(ch, rk)}
 			ch.observe(prea, now)
 			if ch.tel != nil {
@@ -457,6 +467,7 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 			rk.nextRefresh += ch.ct.REFI
 			rk.refPending = false
 			rk.preaAt = never
+			rk.refVer++
 			ch.Stats.Refreshes++
 			ref := Command{Kind: CmdREF, Rank: rankIndex(ch, rk)}
 			ch.observe(ref, now)

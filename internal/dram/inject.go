@@ -27,6 +27,8 @@ func (ch *Channel) InjectRefreshDelay(rank int, delta clock.Cycle) bool {
 	if rk.refPending {
 		return false
 	}
+	// No Plan reads nextRefresh, so no Memo goes stale here; the refresh
+	// stamp moves when the delayed refresh falls due.
 	rk.nextRefresh += delta
 	return true
 }
@@ -52,6 +54,7 @@ func (ch *Channel) InjectForcePrecharge() bool {
 						st.rdyPre = never
 						sb.openCount--
 						rk.openSubs--
+						ch.invalidatePlans()
 						return true
 					}
 				}
@@ -67,6 +70,7 @@ func (ch *Channel) InjectForcePrecharge() bool {
 // commands can then issue back-to-back, which the checker flags as
 // tCCD/tRRD/tFAW/data-bus violations.
 func (ch *Channel) InjectTimingReset() bool {
+	ch.invalidatePlans()
 	ch.lastCol = never
 	ch.busBusyUntil = 0
 	for _, rk := range ch.ranks {
@@ -106,6 +110,7 @@ func (ch *Channel) InjectRowCorruption() bool {
 		return false
 	}
 	flip := uint32(1) << uint(ch.rowBits-1)
+	ch.invalidatePlans()
 	any := false
 	for _, rk := range ch.ranks {
 		for _, grp := range rk.groups {

@@ -22,12 +22,70 @@ type Step struct {
 	Hit bool
 }
 
-// NextStep computes the next command required to service a transaction.
-// It re-evaluates from current state, so the controller can call it
-// every cycle and always issue a legal step. The returned command
-// carries the EWLR-hit / partial-precharge / plane-conflict annotations
-// used for energy and Fig. 13b accounting.
-func (ch *Channel) NextStep(t Target, write bool) Step {
+// Memo holds one transaction's last Plan answer together with the
+// version stamps of the state it was computed from. The zero Memo holds
+// nothing; a caller that reuses a Memo for another transaction must
+// reset it to the zero value first.
+type Memo struct {
+	bk *bank // nil when the Memo holds nothing
+	rk *rank
+
+	bankVer, refVer, actVer, colVer uint64
+
+	step Step
+	at   clock.Cycle
+}
+
+// Plan reports the next command a transaction needs (its Step) and the
+// earliest cycle that command could issue. It answers from m while no
+// stamp the answer depends on has moved, and otherwise re-evaluates the
+// Fig. 5 flow and the timing rules from live state and refills m. The
+// answer always equals a fresh evaluation. Each stamp covers exactly
+// the state one kind of command reads:
+//
+//   - the bank stamp, moved by every command to the bank: its row
+//     slots, plane latches, MASA selector, tCCD_L and tWTR_L bases;
+//   - the rank's refresh stamp, moved when a refresh falls due, at PREA
+//     and at REF, and read by every command;
+//   - the rank's ACT stamp, moved by every ACT to the rank and read only
+//     by ACT (tRRD, tFAW);
+//   - the channel's column stamp, moved by every RD/WR and read only by
+//     RD/WR (tCCD_S, the data bus and its turnaround, the bank-group
+//     tCCD_L/tWTR_L and DDB windows, the rank's tWTR_S base).
+func (ch *Channel) Plan(t Target, write bool, m *Memo) (Step, clock.Cycle) {
+	if m.bk == nil || m.bankVer != m.bk.ver || m.refVer != m.rk.refVer ||
+		(m.step.Cmd.Kind == CmdACT && m.actVer != m.rk.actVer) ||
+		(m.step.Column && m.colVer != ch.colVer) {
+		ch.replan(t, write, m)
+	}
+	return m.step, m.at
+}
+
+// replan refills m from a fresh evaluation.
+func (ch *Channel) replan(t Target, write bool, m *Memo) {
+	rk := ch.ranks[t.Rank]
+	bk := rk.groups[t.Group].banks[t.Bank]
+	m.step = ch.nextStep(t, write)
+	m.at = ch.EarliestIssue(m.step.Cmd)
+	m.bk, m.rk = bk, rk
+	m.bankVer, m.refVer, m.actVer, m.colVer = bk.ver, rk.refVer, rk.actVer, ch.colVer
+}
+
+// invalidatePlans makes every Memo of the channel stale, for state that
+// changes outside Issue and MaintainRefresh (the fault hooks that touch
+// rows or timing, and Restore). Every Plan answer reads its rank's
+// refresh stamp, so moving those suffices.
+func (ch *Channel) invalidatePlans() {
+	for _, rk := range ch.ranks {
+		rk.refVer++
+	}
+}
+
+// nextStep computes the next command required to service a transaction
+// from current state. The returned command carries the EWLR-hit /
+// partial-precharge / plane-conflict annotations used for energy and
+// Fig. 13b accounting.
+func (ch *Channel) nextStep(t Target, write bool) Step {
 	bk := ch.ranks[t.Rank].groups[t.Group].banks[t.Bank]
 	sb := bk.subs[t.Sub]
 	slot := ch.SlotFor(t.Row)
@@ -121,17 +179,6 @@ func (ch *Channel) NextStep(t Target, write bool) Step {
 		c.Kind = CmdACT
 		return Step{Cmd: c}
 	}
-}
-
-// OpenRow reports the open row of the slot that would serve the target,
-// for row-hit-first scheduling.
-func (ch *Channel) OpenRow(t Target) (uint32, bool) {
-	sb := ch.ranks[t.Rank].groups[t.Group].banks[t.Bank].subs[t.Sub]
-	st := &sb.slots[ch.SlotFor(t.Row)]
-	if st.active {
-		return st.row, true
-	}
-	return 0, false
 }
 
 // BankLoad reports per-(group,bank) column-command counts, flattened

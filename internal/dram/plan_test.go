@@ -18,7 +18,7 @@ func run(t *testing.T, ch *Channel, tgt Target, write bool, from clock.Cycle) (c
 	t.Helper()
 	var steps []Step
 	for i := 0; i < 10; i++ {
-		st := ch.NextStep(tgt, write)
+		st := ch.nextStep(tgt, write)
 		steps = append(steps, st)
 		e := ch.EarliestIssue(st.Cmd)
 		if e < from {
@@ -149,12 +149,12 @@ func TestMASASubarrays(t *testing.T) {
 		}
 	}
 	// Row A is still open: a hit, but switching back costs tSA.
-	stA := ch.NextStep(Target{Row: rowA}, false)
+	stA := ch.nextStep(Target{Row: rowA}, false)
 	if !stA.Hit {
 		t.Fatal("row A no longer open under MASA")
 	}
 	eSwitch := ch.EarliestIssue(stA.Cmd)
-	stB := ch.NextStep(Target{Row: rowB}, false)
+	stB := ch.nextStep(Target{Row: rowB}, false)
 	eStay := ch.EarliestIssue(stB.Cmd)
 	if eSwitch != eStay+ct.SA {
 		t.Errorf("subarray switch penalty = %d, want tSA = %d", eSwitch-eStay, ct.SA)

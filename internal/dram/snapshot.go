@@ -107,6 +107,7 @@ func (bk *bank) snapshot(e *snapshot.Encoder) {
 // channel must have been constructed with NewChannel over the same
 // system configuration (geometry mismatches are detected and reported).
 func (ch *Channel) Restore(d *snapshot.Decoder) error {
+	ch.invalidatePlans()
 	ch.busBusyUntil = clock.Cycle(d.I64())
 	ch.busLastRead = d.Bool()
 	ch.lastCol = clock.Cycle(d.I64())

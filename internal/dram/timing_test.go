@@ -117,10 +117,10 @@ func TestMASAPerSlotPrecharge(t *testing.T) {
 	run(t, ch, Target{Row: rowB}, false, 0)
 	pre := Command{Kind: CmdPRE, Row: rowA, Slot: ch.SlotFor(rowA)}
 	issueAt(t, ch, pre, 1000)
-	if _, open := ch.OpenRow(Target{Row: rowB}); !open {
+	if st := ch.nextStep(Target{Row: rowB}, false); !st.Hit {
 		t.Error("closing slot 0 closed slot 1")
 	}
-	if _, open := ch.OpenRow(Target{Row: rowA}); open {
+	if st := ch.nextStep(Target{Row: rowA}, false); st.Cmd.Kind != CmdACT {
 		t.Error("slot 0 still open after PRE")
 	}
 }

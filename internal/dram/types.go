@@ -5,10 +5,11 @@
 // data bus, refresh, and per-command energy event counters.
 //
 // The engine is passive: the memory controller (internal/memctrl) asks
-// when a command could issue (EarliestIssue) and commits it (Issue); the
-// engine enforces every DDR4 timing constraint of Tab. III plus the
-// ERUCA-specific tTCW/tTWTRW windows and plane rules, and panics on a
-// protocol violation — a controller bug, never a workload property.
+// which command a transaction needs next and when it could issue (Plan)
+// and commits it (Issue); the engine enforces every DDR4 timing
+// constraint of Tab. III plus the ERUCA-specific tTCW/tTWTRW windows and
+// plane rules, and panics on a protocol violation — a controller bug,
+// never a workload property.
 package dram
 
 import (

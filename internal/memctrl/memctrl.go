@@ -31,6 +31,11 @@ type Transaction struct {
 	// Closures cannot be serialized: checkpoint restore rebuilds them
 	// structurally via Controller.RestoreQueues' newTxn callback.
 	Done func(dataAt clock.Cycle)
+
+	// plan memoizes the transaction's next step and its earliest issue
+	// cycle across scans (dram.Channel.Plan). Enqueue and Restore clear
+	// it, since callers recycle Transactions.
+	plan dram.Memo
 }
 
 func (t *Transaction) target() dram.Target {
@@ -158,6 +163,7 @@ func (c *Controller) CanAccept(write bool) bool {
 // A read that matches a queued write is forwarded from the write queue
 // and completes immediately without a DRAM access.
 func (c *Controller) Enqueue(t *Transaction) {
+	t.plan = dram.Memo{}
 	if t.Write {
 		c.writeQ = append(c.writeQ, t)
 		return
@@ -207,8 +213,10 @@ func (c *Controller) Tick(now clock.Cycle) bool {
 	// FR-FCFS serves row hits first; with the hit-first pass disabled
 	// the controller degrades to age-ordered FCFS (ablation knob). Each
 	// queue is scanned once per cycle: tryQueue folds the hit-first and
-	// age-order passes into a single walk that evaluates NextStep and
-	// EarliestIssue once per candidate.
+	// age-order passes into a single walk that asks dram.Channel.Plan
+	// for each candidate's step and earliest issue, which re-evaluates
+	// only candidates whose bank, rank or bus state moved since the last
+	// scan.
 	hf := !c.sys.Ctrl.HitFirstDisabled
 	if c.draining {
 		if c.tryQueue(now, c.writeQ, true, true, hf) ||
@@ -304,6 +312,8 @@ const farFuture = clock.Cycle(1) << 60
 // transaction of any kind is taken, but only when the age-order pass
 // applies to this queue (allowAll). With preferHits off the scan
 // degrades to pure age order and stops at the first issuable candidate.
+// Each candidate's step and earliest issue come from its plan memo, so
+// a scan re-evaluates only the candidates whose state moved.
 func (c *Controller) tryQueue(now clock.Cycle, q []*Transaction, write, allowAll, preferHits bool) bool {
 	if !allowAll && !preferHits {
 		return false
@@ -325,13 +335,13 @@ func (c *Controller) tryQueue(now clock.Cycle, q []*Transaction, write, allowAll
 		if !c.ch.Available(t.Loc.Rank, now) {
 			continue
 		}
-		step := c.ch.NextStep(t.target(), t.Write)
+		step, e := c.ch.Plan(t.target(), t.Write, &t.plan)
 		if !step.Hit {
 			if !allowAll || (starved && i > 0) || first >= 0 {
 				continue
 			}
 		}
-		if e := c.ch.EarliestIssue(step.Cmd); e > now {
+		if e > now {
 			if e < c.scanBound {
 				c.scanBound = e
 			}

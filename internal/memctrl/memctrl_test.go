@@ -7,6 +7,7 @@ import (
 	"eruca/internal/clock"
 	"eruca/internal/config"
 	"eruca/internal/dram"
+	"eruca/internal/snapshot"
 )
 
 func newCtl(t *testing.T, sys *config.System) (*Controller, *addrmap.Mapper) {
@@ -185,5 +186,52 @@ func TestVSBPlaneConflictEndToEnd(t *testing.T) {
 	drive(t, c, func() bool { return n == 10 }, 50000)
 	if c.Channel().Stats.PlaneConfPre == 0 {
 		t.Error("alternating same-plane sub-bank stream caused no plane conflicts")
+	}
+}
+
+// Callers recycle Transactions, so one can arrive with a plan memo that
+// is still valid for another channel. Enqueue and Restore must both
+// make it plan afresh.
+func TestRecycledTransactionReplans(t *testing.T) {
+	// planned leaves a read to bank 0 row 5 planned but unissued on its
+	// own controller: row 9 is open, and tRAS holds the PRE back.
+	planned := func() *Transaction {
+		c, _ := newCtl(t, config.Baseline(config.DefaultBusMHz))
+		c.Channel().Issue(dram.Command{Kind: dram.CmdACT, Row: 9}, 0)
+		txn := &Transaction{Loc: loc(0, 5, 0)}
+		c.Enqueue(txn)
+		if c.Tick(1) {
+			t.Fatal("PRE issued inside tRAS")
+		}
+		return txn
+	}
+	cases := []struct {
+		name    string
+		requeue func(c *Controller, txn *Transaction)
+	}{
+		{"Enqueue", func(c *Controller, txn *Transaction) { c.Enqueue(txn) }},
+		{"Restore", func(c *Controller, txn *Transaction) {
+			src, _ := newCtl(t, config.Baseline(config.DefaultBusMHz))
+			src.Enqueue(&Transaction{Loc: txn.Loc})
+			var e snapshot.Encoder
+			src.Snapshot(&e)
+			d, err := snapshot.Open(e.Seal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.Restore(d, func(bool, addrmap.Loc, clock.Cycle, uint64, bool) *Transaction { return txn })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		// On a fresh channel bank 0 is closed, so the read's first step
+		// is an ACT that can issue at once.
+		c, _ := newCtl(t, config.Baseline(config.DefaultBusMHz))
+		tc.requeue(c, planned())
+		if !c.Tick(1) {
+			t.Errorf("%s: the recycled transaction kept its stale plan", tc.name)
+		}
 	}
 }

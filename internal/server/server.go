@@ -738,6 +738,7 @@ func (s *Server) runJob(job *Job) {
 		class, _ := classify(err)
 		s.metrics.jobDone(class, time.Since(start).Seconds())
 	}
+	s.jobs.retire(job)
 }
 
 // produce computes a started job's output, cheapest source first: the

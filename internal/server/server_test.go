@@ -262,6 +262,23 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// A finished job's context is canceled by the time Done closes, so the
+// daemon's base context does not keep it for the daemon's lifetime.
+func TestFinishReleasesJobContext(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	j, _, err := s.Submit(JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 2000, Frag: 0.1}, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j, 10*time.Second)
+	if st := j.State(); st != StateDone {
+		t.Fatalf("state %s, want done", st)
+	}
+	if j.ctx.Err() == nil {
+		t.Error("finished job's context still live")
+	}
+}
+
 // TestCancelQueued cancels a job before a worker picks it up.
 func TestCancelQueued(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})

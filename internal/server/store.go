@@ -197,6 +197,9 @@ func (j *Job) finish(state State, output string, err error) {
 		j.errClass, j.exitCode = classify(err)
 	}
 	j.mu.Unlock()
+	// Release the job's context, which would otherwise stay a child of
+	// the daemon's base context for the daemon's lifetime.
+	j.cancel()
 	if j.onTerminal != nil {
 		j.onTerminal(j)
 	}
@@ -368,6 +371,12 @@ func (l *eventLog) Close() {
 	}
 }
 
+// ringJobs is how many of the most recently finished jobs keep their
+// telemetry event rings (16 KB each); older jobs keep only their
+// counters, histograms and results, so the rings' memory does not grow
+// with every job the daemon has run.
+const ringJobs = 64
+
 // registry indexes jobs by ID. prefix (the cluster node ID plus "-",
 // or empty standalone) namespaces IDs so peers can route them back to
 // the owning node.
@@ -376,6 +385,24 @@ type registry struct {
 	mu     sync.Mutex
 	jobs   map[string]*Job
 	seq    int64
+
+	// ringed holds the last ringJobs jobs to finish running, circularly
+	// from ringNext.
+	ringed   [ringJobs]*Job
+	ringNext int
+}
+
+// retire records that j finished running, and drops the event rings
+// of the job that thereby falls out of the last ringJobs.
+func (r *registry) retire(j *Job) {
+	r.mu.Lock()
+	old := r.ringed[r.ringNext]
+	r.ringed[r.ringNext] = j
+	r.ringNext = (r.ringNext + 1) % ringJobs
+	r.mu.Unlock()
+	if old != nil {
+		old.tel.DropRings()
+	}
 }
 
 func newRegistry(prefix string) *registry {

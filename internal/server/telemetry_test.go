@@ -178,3 +178,32 @@ func TestAttributionSweepJob(t *testing.T) {
 		t.Fatalf("unexpected attribution output:\n%s", out)
 	}
 }
+
+// Only the last ringJobs jobs to finish keep their event rings: once
+// one more has finished, the first serves no recent events while the
+// last still does, and both keep their counters.
+func TestFinishedJobsDropOldRings(t *testing.T) {
+	_, hs := newHTTPServer(t, Config{Workers: 1})
+	var ids []string
+	for i := 0; i <= ringJobs; i++ {
+		code, v := postJob(t, hs.URL, JobSpec{Kind: "sim", System: "ddr4", Mix: "mix0", Instrs: 2000, Frag: 0.1, Seed: int64(i + 1)})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d", i, code)
+		}
+		if final := waitDone(t, hs.URL, v.ID, 30*time.Second); final.State != StateDone {
+			t.Fatalf("job %d state = %s (%+v)", i, final.State, final.Error)
+		}
+		ids = append(ids, v.ID)
+	}
+	_, first := getTelemetry(t, hs.URL, ids[0])
+	_, last := getTelemetry(t, hs.URL, ids[len(ids)-1])
+	if len(first.Recent) != 0 {
+		t.Errorf("first job still serves %d recent events", len(first.Recent))
+	}
+	if len(last.Recent) == 0 {
+		t.Error("last job serves no recent events")
+	}
+	if first.Counters["acts"] == 0 || last.Counters["acts"] == 0 {
+		t.Errorf("counters lost: first %v, last %v", first.Counters, last.Counters)
+	}
+}

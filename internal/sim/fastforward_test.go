@@ -92,7 +92,7 @@ func TestFastForwardEquivalenceMix(t *testing.T) {
 }
 
 // TestFastForwardEquivalenceMASA covers the stacked MASA+ERUCA variant
-// whose slot planes take a different NextStep path.
+// whose slot planes take a different step-planning path.
 func TestFastForwardEquivalenceMASA(t *testing.T) {
 	compareRuns(t, func() *config.System { return config.MASAERUCA(4, 4, true, config.DefaultBusMHz) },
 		[]string{"lbm", "milc"})

@@ -345,6 +345,19 @@ func (s *Set) Emit(e Event) {
 	s.C.TraceDropped.Add(1)
 }
 
+// DropRings frees the per-rank recent-event rings, keeping the
+// counters, histograms, run names and capture buffer. Recent returns
+// nothing afterwards, and later events reach no ring. erucad calls it
+// on finished jobs whose event tails have aged out.
+func (s *Set) DropRings() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rings, s.ranks = nil, 0
+}
+
 // Events returns a copy of the in-memory capture buffer, in emit order.
 func (s *Set) Events() []Event {
 	if s == nil {

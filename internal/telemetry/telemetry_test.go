@@ -55,6 +55,41 @@ func TestRingWrapKeepsMostRecent(t *testing.T) {
 	}
 }
 
+// DropRings empties the rings for good and keeps the counters and
+// histograms, even while a late emitter and a reader still run (a
+// canceled job's simulation can still be winding down).
+func TestDropRingsKeepsCounters(t *testing.T) {
+	s := NewSet(Options{RingDepth: 8})
+	s.Configure(1, 2)
+	s.Emit(ev(1, EvACT, 0, 1))
+	s.C.Add("acts", 1)
+	s.C.RowOpen.Observe(7)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			s.Emit(ev(clock.Cycle(i), EvACT, 0, 1))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			_ = s.Recent(-1, -1, 8)
+		}
+	}()
+	s.DropRings()
+	wg.Wait()
+	s.Emit(ev(2, EvACT, 0, 1))
+	if got := s.Recent(-1, -1, 8); len(got) != 0 {
+		t.Fatalf("recent after DropRings = %v", got)
+	}
+	snap := s.Snapshot(8)
+	if snap.Counters["acts"] != 1 || snap.Hists["row_open_ck"].N != 1 || len(snap.Recent) != 0 {
+		t.Fatalf("snapshot after DropRings = %+v", snap)
+	}
+}
+
 func TestRecentMergesAcrossRings(t *testing.T) {
 	s := NewSet(Options{RingDepth: 8})
 	s.Configure(2, 2)
