@@ -89,13 +89,17 @@ chaos-mesh:
 # attacker-facing parsers: the -chaos DSL and the W3C traceparent
 # header. FuzzPlanMemo drives random command sequences, refreshes,
 # fault hooks and restores through a channel and requires every
-# memoized scheduler plan to equal a fresh evaluation.
+# memoized scheduler plan to equal a fresh evaluation. FuzzIdleSkip
+# feeds random traffic, refreshes, fault hooks and restores to two
+# controllers, one that skips its scans while idle and one that scans
+# every tick, and requires the same commands at the same cycles.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFaultPlan' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/snapshot/
 	$(GO) test -run '^$$' -fuzz 'FuzzChaosPlan' -fuzztime 10s ./internal/chaosnet/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceparentParse' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanMemo' -fuzztime 10s ./internal/dram/
+	$(GO) test -run '^$$' -fuzz 'FuzzIdleSkip' -fuzztime 10s ./internal/memctrl/
 
 # Determinism smoke of the autotuner: the same tiny 2-dim search
 # (successive halving over planes x ddb) run twice — once parallel,

@@ -17,6 +17,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"eruca/internal/check"
@@ -34,7 +35,7 @@ func main() {
 // on failure exits (os.Exit in main would skip them).
 func run() int {
 	var (
-		which    = flag.String("exp", "all", "experiment: tab1, tab2, tab3, fig4, fig11, fig12, fig13a, fig13b, fig14, fig15, fig16a, fig16b, locality, ablations, attribution, search, all")
+		which    = flag.String("exp", "all", "experiment: tab1, tab2, tab3, fig4, fig11, fig12, fig13a, fig13b, fig14, fig15, fig16a, fig16b, locality, ablations, attribution, repair, gddr5, search, all")
 		planes   = flag.Int("planes", 4, "plane count for the attribution ladder")
 		instrs   = flag.Int64("instrs", 250_000, "measured instructions per core")
 		warmup   = flag.Int64("warmup", 0, "warmup instructions per core (default instrs/2)")
@@ -201,7 +202,12 @@ func run() int {
 			}
 		}
 		if len(selected) == 0 {
-			fmt.Fprintf(os.Stderr, "erucabench: unknown experiment %q\n", *which)
+			var names []string
+			for _, e := range all {
+				names = append(names, e.name)
+			}
+			fmt.Fprintf(os.Stderr, "erucabench: unknown experiment %q (valid: %s, search, all)\n",
+				*which, strings.Join(names, ", "))
 			return 2
 		}
 	}

@@ -289,9 +289,6 @@ func (n *Node) postJSON(ctx context.Context, url string, v any) (*http.Response,
 // Server exposes the wrapped single-node server (for Start/Drain).
 func (n *Node) Server() *server.Server { return n.srv }
 
-// IsCoordinator reports this member's role.
-func (n *Node) IsCoordinator() bool { return n.coord != nil }
-
 func (n *Node) log() *slog.Logger { return n.cfg.Log }
 
 // Start launches the cluster loops: the coordinator self-joins and

@@ -27,6 +27,10 @@ type Channel struct {
 	// window or a tWTR base that another bank's RD/WR reads.
 	colVer uint64
 
+	// stamp moves in invalidatePlans, at each change of channel state
+	// made outside Issue and MaintainRefresh (memctrl's idle skip).
+	stamp uint64
+
 	planes  *core.PlaneLogic // nil when the scheme has no planes
 	masa    core.MASASlots
 	hasMASA bool
@@ -370,6 +374,13 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 		diag.Invariantf("dram: Issue of managed command %v", c)
 	}
 }
+
+// Stamp reports the channel stamp, which moves whenever state changes
+// outside Issue and MaintainRefresh: at the fault hooks that change
+// rows or timing, and at Restore. A controller caching a decision
+// against it must account for its own Issue calls and bound the cache
+// by NextRefreshEvent.
+func (ch *Channel) Stamp() uint64 { return ch.stamp }
 
 // ReadDataAt reports the cycle at which read data issued at `at`
 // completes on the bus.

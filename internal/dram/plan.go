@@ -52,11 +52,19 @@ type Memo struct {
 //   - the channel's column stamp, moved by every RD/WR and read only by
 //     RD/WR (tCCD_S, the data bus and its turnaround, the bank-group
 //     tCCD_L/tWTR_L and DDB windows, the rank's tWTR_S base).
+//
+// The Fig. 5 step reads only the bank's own slots (and the refresh
+// PREA that closes them), so the bank and refresh stamps re-plan it.
+// The ACT and column stamps cover timing state alone: when only they
+// have moved, Plan keeps the step and re-times it.
 func (ch *Channel) Plan(t Target, write bool, m *Memo) (Step, clock.Cycle) {
-	if m.bk == nil || m.bankVer != m.bk.ver || m.refVer != m.rk.refVer ||
-		(m.step.Cmd.Kind == CmdACT && m.actVer != m.rk.actVer) ||
-		(m.step.Column && m.colVer != ch.colVer) {
+	switch {
+	case m.bk == nil || m.bankVer != m.bk.ver || m.refVer != m.rk.refVer:
 		ch.replan(t, write, m)
+	case m.step.Cmd.Kind == CmdACT && m.actVer != m.rk.actVer,
+		m.step.Column && m.colVer != ch.colVer:
+		m.at = ch.EarliestIssue(m.step.Cmd)
+		m.actVer, m.colVer = m.rk.actVer, ch.colVer
 	}
 	return m.step, m.at
 }
@@ -74,11 +82,13 @@ func (ch *Channel) replan(t Target, write bool, m *Memo) {
 // invalidatePlans makes every Memo of the channel stale, for state that
 // changes outside Issue and MaintainRefresh (the fault hooks that touch
 // rows or timing, and Restore). Every Plan answer reads its rank's
-// refresh stamp, so moving those suffices.
+// refresh stamp, so moving those suffices; the channel stamp moves too,
+// which wakes an idle controller.
 func (ch *Channel) invalidatePlans() {
 	for _, rk := range ch.ranks {
 		rk.refVer++
 	}
+	ch.stamp++
 }
 
 // nextStep computes the next command required to service a transaction

@@ -45,10 +45,10 @@ func (c *Controller) InjectDropRate(rate float64, seed int64) {
 // injector has skipped.
 func (c *Controller) DroppedTicks() uint64 { return c.faultDrops }
 
-// faultGate runs the injected scheduling perturbations for one cycle.
-// It reports true when the cycle's scheduling must be skipped, and
-// keeps scanBound tight so the fast-forwarding run loop never skips
-// past the perturbation window.
+// faultGate runs the injected scheduling perturbations for one cycle,
+// while a blackout lasts or a drop rate is set. It reports true when the
+// cycle's scheduling must be skipped, and keeps scanBound tight so the
+// fast-forwarding run loop never skips past the perturbation window.
 func (c *Controller) faultGate(now clock.Cycle) bool {
 	if now < c.blackoutUntil {
 		if c.blackoutUntil < c.scanBound {

@@ -105,8 +105,17 @@ type Controller struct {
 	// the minimum EarliestIssue over every policy-eligible candidate the
 	// scans evaluated. On quiescent cycles NextEventCycle reuses it
 	// instead of re-walking the queues, making the fast-forward bound
-	// almost free.
+	// almost free. A skipped scan (idleUntil) leaves it as the last scan
+	// set it: with the queues and the channel unchanged, so is the bound.
 	scanBound clock.Cycle
+
+	// idleUntil and idleStamp record the last Tick whose scans issued
+	// nothing: NextEventCycle at that tick, and the channel stamp. Until
+	// idleUntil the scans would issue nothing again, so Tick skips them,
+	// unless Enqueue has zeroed idleUntil or the stamp has moved (a
+	// fault hook or a restore changed the channel).
+	idleUntil clock.Cycle
+	idleStamp uint64
 
 	// tel, when set, receives per-read latency histogram observations
 	// (queue age and arrival-to-data). Purely observational.
@@ -164,6 +173,7 @@ func (c *Controller) CanAccept(write bool) bool {
 // and completes immediately without a DRAM access.
 func (c *Controller) Enqueue(t *Transaction) {
 	t.plan = dram.Memo{}
+	c.idleUntil = 0 // the new transaction may issue at once
 	if t.Write {
 		c.writeQ = append(c.writeQ, t)
 		return
@@ -188,17 +198,32 @@ func (c *Controller) Pending() int { return len(c.readQ) + len(c.writeQ) }
 // outside write-drain episodes. It reports whether a command was issued
 // this cycle (the run loop uses this to detect quiescent windows it can
 // fast-forward).
+//
+// The FR-FCFS scans do not run on every tick. After a tick whose scans
+// issued nothing, Tick skips them until the NextEventCycle recorded at
+// that tick, unless a transaction is enqueued or the channel stamp
+// moves (a fault hook or Restore) first. Inside that window nothing a
+// scan reads can change: no refresh transition comes due, and the
+// controller issues nothing, since its commands come from a scan or
+// from the close-page timeout, whose next scan the wake also bounds.
+// Rank availability changes only at a refresh transition and the
+// starvation guard can only narrow the eligible set, so a scan would
+// again issue nothing. The occupancy stats, MaintainRefresh, the fault
+// gate, the write-drain hysteresis and the close-page timeout still run
+// on every tick, and an active fault disables the skip.
 func (c *Controller) Tick(now clock.Cycle) bool {
 	c.Stats.Ticks++
 	c.Stats.ReadOccSum += uint64(len(c.readQ))
 	c.Stats.WriteOccSum += uint64(len(c.writeQ))
-	c.scanBound = farFuture
 	c.ch.MaintainRefresh(now)
 
-	// Injected scheduling perturbations (chaos runs only; faultGate is
-	// a pair of zero-compares in normal runs).
-	if (c.blackoutUntil > 0 || c.dropRate > 0) && c.faultGate(now) {
-		return false
+	// Injected scheduling perturbations (chaos runs only; a pair of
+	// compares in normal runs).
+	if now < c.blackoutUntil || c.dropRate > 0 {
+		c.idleUntil, c.scanBound = 0, farFuture
+		if c.faultGate(now) {
+			return false
+		}
 	}
 
 	// Write-drain hysteresis.
@@ -210,13 +235,18 @@ func (c *Controller) Tick(now clock.Cycle) bool {
 		c.draining = false
 	}
 
+	if now < c.idleUntil && c.ch.Stamp() == c.idleStamp {
+		return c.maybeClosePage(now)
+	}
+
 	// FR-FCFS serves row hits first; with the hit-first pass disabled
 	// the controller degrades to age-ordered FCFS (ablation knob). Each
-	// queue is scanned once per cycle: tryQueue folds the hit-first and
-	// age-order passes into a single walk that asks dram.Channel.Plan
-	// for each candidate's step and earliest issue, which re-evaluates
-	// only candidates whose bank, rank or bus state moved since the last
-	// scan.
+	// queue is scanned at most once per cycle: tryQueue folds the
+	// hit-first and age-order passes into a single walk that asks
+	// dram.Channel.Plan for each candidate's step and earliest issue,
+	// which re-evaluates only candidates whose bank, rank or bus state
+	// moved since the last scan.
+	c.scanBound = farFuture
 	hf := !c.sys.Ctrl.HitFirstDisabled
 	if c.draining {
 		if c.tryQueue(now, c.writeQ, true, true, hf) ||
@@ -229,21 +259,25 @@ func (c *Controller) Tick(now clock.Cycle) bool {
 			return true
 		}
 	}
+	c.idleUntil, c.idleStamp = c.NextEventCycle(now), c.ch.Stamp()
 
 	return c.maybeClosePage(now)
 }
 
 // NextEventCycle reports a lower bound (strictly after now) on the next
 // bus cycle at which this controller could act: the earliest legal
-// issue over the candidates the cycle's failed FR-FCFS scans evaluated
+// issue over the candidates the last failed FR-FCFS scans evaluated
 // (scanBound — the scans mirror the policy exactly: unavailable ranks,
 // the starvation guard, and the read-priority / write-drain pass
 // structure, so on a cycle where Tick issued nothing the bound is
 // strictly in the future), the next refresh-state transition, or the
 // next close-page scan. Only valid immediately after a Tick that issued
-// nothing — precisely when the run loop consults it. The bound is
-// conservative (policy state can only become more restrictive inside a
-// quiescent window: starvation never ends while the head is stuck, rank
+// nothing — precisely when the run loop consults it. A Tick that
+// skipped its scans keeps the last scan's bound, which stays valid:
+// the skip holds only while neither the queues nor the channel changed
+// and no refresh transition has come due. The bound is conservative
+// (policy state can only become more restrictive inside a quiescent
+// window: starvation never ends while the head is stuck, rank
 // availability changes only via bounded refresh transitions, so
 // resuming early and finding nothing issuable is safe) but never later
 // than the controller's next actual command, which is what makes

@@ -107,9 +107,10 @@ func (c *Controller) Restore(d *snapshot.Decoder,
 	c.Stats.ReadOccSum = d.U64()
 	c.Stats.WriteOccSum = d.U64()
 
-	// scanBound is transient (recomputed by the next Tick); park it at
-	// the sentinel so a NextEventCycle before the first Tick is sane.
-	c.scanBound = farFuture
+	// scanBound and the idle skip are transient (recomputed by the next
+	// Tick's scans); park the bound at the sentinel so a NextEventCycle
+	// before the first Tick is sane.
+	c.scanBound, c.idleUntil = farFuture, 0
 	return d.Err()
 }
 

@@ -324,11 +324,6 @@ func (l *eventLog) Append(line string) {
 	}
 }
 
-// Subscribe returns the full replay history and a live channel.
-func (l *eventLog) Subscribe() (history []logLine, ch chan logLine, cancel func()) {
-	return l.SubscribeFrom(-1)
-}
-
 // SubscribeFrom returns the retained history after sequence number
 // `after` (-1 = everything) and a live channel; cancel unregisters. The
 // channel is closed when the log closes. A reconnecting SSE client

@@ -60,8 +60,7 @@ type bridge struct {
 	lineShift uint
 
 	// Per-core demand misses reaching DRAM (for MPKI).
-	misses          []uint64
-	stalledForSpill uint64
+	misses []uint64
 
 	// fatal latches the first unrecoverable bridge-side error (OOM from
 	// the OS memory model). The run loop polls it and ends the run
@@ -137,7 +136,6 @@ func (b *bridge) Access(core int, va uint64, write bool, done func()) (accept, p
 	// Backpressure: a miss may need a read-queue slot and produce
 	// writebacks; refuse up front when either could overflow.
 	if len(b.spill) >= spillLimit || !b.ctlFor(line).CanAccept(false) {
-		b.stalledForSpill++
 		return false, false, 0
 	}
 

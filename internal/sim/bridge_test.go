@@ -112,9 +112,6 @@ func TestSpillBackpressure(t *testing.T) {
 	if ok, _, _ := br.Access(0, 0x9000, false, func() {}); ok {
 		t.Error("access accepted with a full spill buffer")
 	}
-	if br.stalledForSpill == 0 {
-		t.Error("stall not recorded")
-	}
 }
 
 // Deferred events fire exactly once at their bus cycle.

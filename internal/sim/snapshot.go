@@ -254,7 +254,6 @@ func (b *bridge) snapshot(e *snapshot.Encoder) {
 	for _, m := range b.misses {
 		e.U64(m)
 	}
-	e.U64(b.stalledForSpill)
 }
 
 // restore rebuilds the bridge state. MSHR waiters come back with nil
@@ -317,7 +316,6 @@ func (b *bridge) restore(d *snapshot.Decoder) error {
 	for i := range b.misses {
 		b.misses[i] = d.U64()
 	}
-	b.stalledForSpill = d.U64()
 	return d.Err()
 }
 

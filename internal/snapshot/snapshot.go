@@ -31,7 +31,7 @@ import (
 
 // Version is the current snapshot format version. Bump on any change
 // to the field sequence emitted by any Snapshot method.
-const Version = 3
+const Version = 4
 
 const (
 	magic      = "ERUCASN1"

@@ -19,7 +19,7 @@ type Counters struct {
 
 	// Histograms (fixed log2 buckets, lock-free).
 	ReadLatency Hist // read arrival→data, bus cycles
-	QueueAge    Hist // arrival→first issue, bus cycles
+	QueueAge    Hist // read arrival→its column command, bus cycles
 	RowOpen     Hist // row open lifetime ACT→PRE, bus cycles
 	InterACT    Hist // per-rank gap between consecutive ACTs, bus cycles
 
