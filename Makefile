@@ -41,10 +41,13 @@ race:
 cluster-stress:
 	GOMAXPROCS=1 $(GO) test -count=5 ./internal/cluster/
 
-# Hard zero-cost gate for disabled tracing: every nil-tracer call path
-# must stay at exactly 0 allocs/op (the bench-guard CI step runs this).
+# Hard zero-allocation gates (the bench-guard CI step runs this): every
+# nil-tracer call path, and the simulator's warmed miss path (a read
+# miss through fill and wake-up, a dirty writeback, a close-page
+# precharge), must stay at exactly 0 allocs/op.
 zero-alloc:
 	$(GO) test -count=1 -v -run 'DisabledTracerZeroAlloc' ./internal/obs/
+	$(GO) test -count=1 -v -run 'BridgeZeroAlloc' ./internal/sim/
 
 # Full chaos-harness pass: every seeded fault kind must be caught by the
 # protocol checker or the watchdog, and benign perturbations must stay
@@ -93,6 +96,10 @@ chaos-mesh:
 # feeds random traffic, refreshes, fault hooks and restores to two
 # controllers, one that skips its scans while idle and one that scans
 # every tick, and requires the same commands at the same cycles.
+# FuzzCoreSleep runs two cores on random sources against a memory
+# system that refuses, serves and delays at random, one that sleeps
+# while blocked and one that ticks in full every cycle, and requires the
+# same accesses at the same cycles and the same counters every cycle.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFaultPlan' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/snapshot/
@@ -100,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceparentParse' -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanMemo' -fuzztime 10s ./internal/dram/
 	$(GO) test -run '^$$' -fuzz 'FuzzIdleSkip' -fuzztime 10s ./internal/memctrl/
+	$(GO) test -run '^$$' -fuzz 'FuzzCoreSleep' -fuzztime 10s ./internal/cpu/
 
 # Determinism smoke of the autotuner: the same tiny 2-dim search
 # (successive halving over planes x ddb) run twice — once parallel,

@@ -32,11 +32,22 @@ func (l Level) String() string {
 }
 
 // Outcome summarizes one access: where it hit and any dirty lines pushed
-// out to memory.
+// out to memory. An access evicts at most two lines to memory (an LLC
+// victim and an L1 victim), so they fit in place and an access never
+// allocates.
 type Outcome struct {
 	Level Level
-	// Writebacks lists line addresses evicted dirty to memory.
-	Writebacks []uint64
+	wb    [2]uint64
+	nwb   int
+}
+
+// Writebacks lists the line addresses evicted dirty to memory. The
+// slice points into o.
+func (o *Outcome) Writebacks() []uint64 { return o.wb[:o.nwb] }
+
+func (o *Outcome) writeback(line uint64) {
+	o.wb[o.nwb] = line
+	o.nwb++
 }
 
 type line struct {
@@ -205,7 +216,7 @@ func (h *Hierarchy) Access(core int, lineAddr uint64, write bool) Outcome {
 		out.Level = Mem
 		// Fill LLC; a dirty victim goes to memory.
 		if v, dirty, evicted := h.llc.fill(lineAddr, false); evicted && dirty {
-			out.Writebacks = append(out.Writebacks, v)
+			out.writeback(v)
 		}
 	}
 
@@ -213,7 +224,7 @@ func (h *Hierarchy) Access(core int, lineAddr uint64, write bool) Outcome {
 	// L1 victim folds into the LLC when present there, otherwise it goes
 	// to memory.
 	if v, dirty, evicted := l1.fill(lineAddr, write); evicted && dirty && !h.llc.absorb(v) {
-		out.Writebacks = append(out.Writebacks, v)
+		out.writeback(v)
 	}
 	return out
 }

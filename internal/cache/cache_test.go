@@ -45,7 +45,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	h.Access(0, 16, false) // L1 victim 0 is dirty, absorbed by LLC
 	for i := uint64(1); i <= 6; i++ {
 		out := h.Access(0, i*16, false) // LLC set 0
-		wbs = append(wbs, out.Writebacks...)
+		wbs = append(wbs, out.Writebacks()...)
 	}
 	found := false
 	for _, wb := range wbs {

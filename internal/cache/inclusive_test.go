@@ -35,7 +35,7 @@ func TestCrossCoreThrash(t *testing.T) {
 			written[line] = true
 		}
 		out := h.Access(core, line, write)
-		wbs = append(wbs, out.Writebacks...)
+		wbs = append(wbs, out.Writebacks()...)
 	}
 	for _, wb := range wbs {
 		if !written[wb] {

@@ -66,6 +66,13 @@ type Core struct {
 	opWrite bool
 	opVA    uint64
 
+	// wakeAt is the first CPU cycle at which a sleeping core ticks for
+	// real; before it, Tick only counts the stalled cycle. Zero means
+	// awake. A core sleeps after a tick without progress when only its
+	// own reads can unblock it (see sleep); every read completion wakes
+	// it. Not checkpointed: a restored core starts awake.
+	wakeAt int64
+
 	// Target is the instruction count after which FinishedAt is latched.
 	Target     int64
 	FinishedAt int64 // CPU cycle when Target retired (0 until then)
@@ -168,6 +175,7 @@ func (c *Core) getRead(pos int64) *read {
 		r.complete = func() {
 			r.ready = true
 			c.inflight--
+			c.wakeAt = 0
 		}
 	}
 	r.pos = pos
@@ -189,10 +197,43 @@ func (c *Core) popRead() {
 	}
 }
 
-// Tick advances the core by one CPU cycle.
+// Tick advances the core by one CPU cycle. A sleeping core only counts
+// the stalled cycle, which is all its full tick would do.
 func (c *Core) Tick(now int64) {
+	if now < c.wakeAt {
+		c.Stalled++
+		return
+	}
+	c.tick(now)
+}
+
+func (c *Core) tick(now int64) {
+	retired := c.retired
 	c.retire(now)
-	c.fetch(now)
+	if !c.fetch(now) && c.retired == retired {
+		c.sleep()
+	}
+}
+
+// sleep puts a core whose tick made no progress to sleep when it can
+// only resume through one of its own reads: the ROB is full, or the
+// LSQ is full with a load pending. Either way the head read blocks
+// retirement, so the core's state cannot change until that read's
+// known readyAt or until a read completion, which wakes it. A core
+// refused by queue or spill backpressure stays awake: acceptance
+// depends on memory-system state the core does not see change, so it
+// must retry every cycle.
+func (c *Core) sleep() {
+	lsqFull := c.hasOp && c.gap == 0 && !c.opWrite && c.inflight >= c.lsq
+	if c.fetched-c.retired < c.rob && !lsqFull {
+		return
+	}
+	c.wakeAt = neverCPU
+	if c.readHead < len(c.reads) { // empty only with a zero-entry ROB or LSQ
+		if r := c.reads[c.readHead]; r.ready {
+			c.wakeAt = r.readyAt
+		}
+	}
 }
 
 func (c *Core) retire(now int64) {
@@ -219,7 +260,9 @@ func (c *Core) retire(now int64) {
 	}
 }
 
-func (c *Core) fetch(now int64) {
+// fetch fetches up to width instructions and reports whether it made
+// progress.
+func (c *Core) fetch(now int64) bool {
 	budget := c.width
 	progress := false
 	for budget > 0 && c.fetched-c.retired < c.rob {
@@ -278,4 +321,5 @@ func (c *Core) fetch(now int64) {
 	if !progress {
 		c.Stalled++
 	}
+	return progress
 }

@@ -53,6 +53,7 @@ func (c *Core) Restore(d *snapshot.Decoder) error {
 	c.reads = c.reads[:0]
 	c.readHead = 0
 	c.inflight = 0
+	c.wakeAt = 0
 	prevPos := int64(-1)
 	for i := 0; i < n; i++ {
 		pos := d.I64()

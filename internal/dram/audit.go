@@ -278,12 +278,13 @@ func (a *Auditor) checkColumnSpacing(c Command, at clock.Cycle) {
 }
 
 // checkDataBus verifies that data bursts never overlap on the shared
-// external bus.
+// external bus, and that a WR's data starts at least tRTW after the
+// data of every earlier RD ends (the read-to-write bus turnaround).
 func (a *Auditor) checkDataBus(c Command, at clock.Cycle) {
 	start, end := a.dataWindow(c.Kind, at)
 	for i := len(a.history) - 1; i >= 0; i-- {
 		ev := a.history[i]
-		if at-ev.At > a.ct.CL+a.ct.Burst+a.ct.CWL {
+		if at-ev.At > a.ct.CL+a.ct.Burst+a.ct.CWL+a.ct.RTW {
 			break
 		}
 		if ev.Cmd.Kind != CmdRD && ev.Cmd.Kind != CmdWR {
@@ -292,6 +293,9 @@ func (a *Auditor) checkDataBus(c Command, at clock.Cycle) {
 		s2, e2 := a.dataWindow(ev.Cmd.Kind, ev.At)
 		if start < e2 && s2 < end {
 			a.fail(at, "bus-overlap", "data bus overlap: [%d,%d) with [%d,%d): %v", start, end, s2, e2, c)
+		}
+		if c.Kind == CmdWR && ev.Cmd.Kind == CmdRD && start < e2+a.ct.RTW {
+			a.fail(at, "tRTW", "tRTW violation: WR data %d after RD data end (need %d): %v", start-e2, a.ct.RTW, c)
 		}
 	}
 }

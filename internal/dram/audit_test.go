@@ -104,6 +104,40 @@ func TestAuditorCatchesViolations(t *testing.T) {
 	}
 }
 
+// The read-to-write bus turnaround: a RD and then a WR, each issued at
+// its EarliestIssue, pass audit, and the same WR one cycle earlier
+// breaks tRTW and nothing else.
+func TestAuditorReadToWriteTurnaround(t *testing.T) {
+	sys := config.Baseline(config.DefaultBusMHz)
+	ch, a, ct := auditedChannel(t, sys)
+	issueAt(t, ch, cmd(CmdACT, 0, 7), 0)
+	issueAt(t, ch, cmd(CmdACT, 4, 7), 0)
+	rd := issueAt(t, ch, cmd(CmdRD, 0, 7), 0)
+	wr := issueAt(t, ch, cmd(CmdWR, 4, 7), 0)
+	if wr+ct.CWL != rd+ct.CL+ct.Burst+ct.RTW {
+		t.Fatalf("WR at %d is not bound by tRTW after the RD at %d", wr, rd)
+	}
+	if v := a.Violations(); len(v) != 0 {
+		t.Fatalf("RD then WR at EarliestIssue flagged: %v", v)
+	}
+
+	early := NewAuditor(sys)
+	events := a.Events()
+	for i, ev := range events {
+		if i == len(events)-1 {
+			ev.At--
+		}
+		early.Observe(ev.Cmd, ev.At)
+	}
+	var rules []string
+	for _, v := range early.Structured() {
+		rules = append(rules, v.Rule)
+	}
+	if len(rules) != 1 || rules[0] != "tRTW" {
+		t.Fatalf("WR one cycle early: rules %v, want [tRTW]", rules)
+	}
+}
+
 // The plane invariant: ACT into a plane whose latches the partner
 // sub-bank holds with a different value.
 func TestAuditorPlaneInvariant(t *testing.T) {

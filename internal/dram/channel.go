@@ -162,11 +162,12 @@ func NewChannel(sys *config.System, rowBits int) *Channel {
 	return ch
 }
 
-func (ch *Channel) sub(c Command) (*rank, *group, *bank, *subBank) {
+// path walks from the channel to the rank, group and bank a command
+// addresses.
+func (ch *Channel) path(c *Command) (*rank, *group, *bank) {
 	rk := ch.ranks[c.Rank]
 	grp := rk.groups[c.Group]
-	bk := grp.banks[c.Bank]
-	return rk, grp, bk, bk.subs[c.Sub]
+	return rk, grp, grp.banks[c.Bank]
 }
 
 // ddbWindow selects the two-command window covering a column command:
@@ -193,7 +194,14 @@ func (ch *Channel) SlotFor(row uint32) int {
 // result is a lower bound that is exact for the current state; issuing
 // other commands first can push it later.
 func (ch *Channel) EarliestIssue(c Command) clock.Cycle {
-	rk, grp, bk, sb := ch.sub(c)
+	rk, grp, bk := ch.path(&c)
+	return ch.earliest(&c, rk, grp, bk)
+}
+
+// earliest is EarliestIssue for a command whose rank, group and bank
+// the caller has already looked up.
+func (ch *Channel) earliest(c *Command, rk *rank, grp *group, bk *bank) clock.Cycle {
+	sb := bk.subs[c.Sub]
 	slot := &sb.slots[c.Slot]
 
 	if rk.refPending {
@@ -260,10 +268,11 @@ func (ch *Channel) EarliestIssue(c Command) clock.Cycle {
 // the violation and applies the command best-effort so a Log/Fail
 // checker can keep the run alive.
 func (ch *Channel) Issue(c Command, now clock.Cycle) {
-	if e := ch.EarliestIssue(c); now < e {
+	rk, grp, bk := ch.path(&c)
+	if e := ch.earliest(&c, rk, grp, bk); now < e {
 		ch.violate(now, "timing", c, "dram: %v issued at %d, earliest legal %d", c, now, e)
 	}
-	rk, grp, bk, sb := ch.sub(c)
+	sb := bk.subs[c.Sub]
 	slot := &sb.slots[c.Slot]
 	rk.observe(now, &ch.Stats)
 	ch.observe(c, now)

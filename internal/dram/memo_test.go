@@ -58,6 +58,7 @@ func checkPlanMemo(t *testing.T, sys *config.System, seed uint64, steps int) {
 			},
 			write: rnd(3) == 0,
 		}
+		targets[i].m.Reset(targets[i].t, targets[i].write)
 	}
 
 	var (
@@ -119,10 +120,10 @@ func checkPlanMemo(t *testing.T, sys *config.System, seed uint64, steps int) {
 		}
 		for k := range targets {
 			tg := &targets[k]
-			got, gotAt := ch.Plan(tg.t, tg.write, &tg.m)
+			got, gotAt := ch.Plan(&tg.m)
 			want := ch.nextStep(tg.t, tg.write)
 			wantAt := ch.EarliestIssue(want.Cmd)
-			if got != want || gotAt != wantAt {
+			if *got != want || gotAt != wantAt {
 				t.Fatalf("%s seed %d step %d target %+v: Plan = %v at %d, fresh = %v at %d",
 					sys.Name, seed, i, tg.t, got.Cmd, gotAt, want.Cmd, wantAt)
 			}

@@ -22,13 +22,18 @@ type Step struct {
 	Hit bool
 }
 
-// Memo holds one transaction's last Plan answer together with the
-// version stamps of the state it was computed from. The zero Memo holds
-// nothing; a caller that reuses a Memo for another transaction must
-// reset it to the zero value first.
+// Memo binds one transaction's target and holds its last Plan answer
+// together with the version stamps of the state it was computed from
+// and the rank, group and bank that hold that state. Reset binds it; a
+// caller that reuses a Memo for another transaction must Reset it
+// first.
 type Memo struct {
-	bk *bank // nil when the Memo holds nothing
+	t     Target
+	write bool
+
 	rk *rank
+	gp *group
+	bk *bank // nil while the Memo holds no answer
 
 	bankVer, refVer, actVer, colVer uint64
 
@@ -36,12 +41,18 @@ type Memo struct {
 	at   clock.Cycle
 }
 
-// Plan reports the next command a transaction needs (its Step) and the
-// earliest cycle that command could issue. It answers from m while no
-// stamp the answer depends on has moved, and otherwise re-evaluates the
-// Fig. 5 flow and the timing rules from live state and refills m. The
-// answer always equals a fresh evaluation. Each stamp covers exactly
-// the state one kind of command reads:
+// Reset binds m to a transaction's target and drops any answer it
+// held.
+func (m *Memo) Reset(t Target, write bool) { *m = Memo{t: t, write: write} }
+
+// Plan reports the next command the transaction m is bound to needs
+// (its Step) and the earliest cycle that command could issue. The Step
+// is read in place: it points into m and stays valid until the next
+// Plan or Reset of m. Plan answers from m while no stamp the answer
+// depends on has moved, and otherwise re-evaluates the Fig. 5 flow and
+// the timing rules from live state and refills m. The answer always
+// equals a fresh evaluation. Each stamp covers exactly the state one
+// kind of command reads:
 //
 //   - the bank stamp, moved by every command to the bank: its row
 //     slots, plane latches, MASA selector, tCCD_L and tWTR_L bases;
@@ -57,25 +68,27 @@ type Memo struct {
 // PREA that closes them), so the bank and refresh stamps re-plan it.
 // The ACT and column stamps cover timing state alone: when only they
 // have moved, Plan keeps the step and re-times it.
-func (ch *Channel) Plan(t Target, write bool, m *Memo) (Step, clock.Cycle) {
+func (ch *Channel) Plan(m *Memo) (*Step, clock.Cycle) {
 	switch {
 	case m.bk == nil || m.bankVer != m.bk.ver || m.refVer != m.rk.refVer:
-		ch.replan(t, write, m)
+		ch.replan(m)
 	case m.step.Cmd.Kind == CmdACT && m.actVer != m.rk.actVer,
 		m.step.Column && m.colVer != ch.colVer:
-		m.at = ch.EarliestIssue(m.step.Cmd)
+		m.at = ch.earliest(&m.step.Cmd, m.rk, m.gp, m.bk)
 		m.actVer, m.colVer = m.rk.actVer, ch.colVer
 	}
-	return m.step, m.at
+	return &m.step, m.at
 }
 
-// replan refills m from a fresh evaluation.
-func (ch *Channel) replan(t Target, write bool, m *Memo) {
-	rk := ch.ranks[t.Rank]
-	bk := rk.groups[t.Group].banks[t.Bank]
-	m.step = ch.nextStep(t, write)
-	m.at = ch.EarliestIssue(m.step.Cmd)
-	m.bk, m.rk = bk, rk
+// replan refills m from a fresh evaluation, walking rank, group and
+// bank once for both the step and its timing.
+func (ch *Channel) replan(m *Memo) {
+	rk := ch.ranks[m.t.Rank]
+	gp := rk.groups[m.t.Group]
+	bk := gp.banks[m.t.Bank]
+	m.step = ch.stepFor(bk, m.t, m.write)
+	m.at = ch.earliest(&m.step.Cmd, rk, gp, bk)
+	m.rk, m.gp, m.bk = rk, gp, bk
 	m.bankVer, m.refVer, m.actVer, m.colVer = bk.ver, rk.refVer, rk.actVer, ch.colVer
 }
 
@@ -91,12 +104,11 @@ func (ch *Channel) invalidatePlans() {
 	ch.stamp++
 }
 
-// nextStep computes the next command required to service a transaction
-// from current state. The returned command carries the EWLR-hit /
-// partial-precharge / plane-conflict annotations used for energy and
-// Fig. 13b accounting.
-func (ch *Channel) nextStep(t Target, write bool) Step {
-	bk := ch.ranks[t.Rank].groups[t.Group].banks[t.Bank]
+// stepFor computes the next command required to service a transaction
+// from the current state of its bank bk. The returned command carries
+// the EWLR-hit / partial-precharge / plane-conflict annotations used
+// for energy and Fig. 13b accounting.
+func (ch *Channel) stepFor(bk *bank, t Target, write bool) Step {
 	sb := bk.subs[t.Sub]
 	slot := ch.SlotFor(t.Row)
 	base := Command{Rank: t.Rank, Group: t.Group, Bank: t.Bank, Sub: t.Sub, Row: t.Row, Slot: slot}

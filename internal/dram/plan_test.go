@@ -11,6 +11,12 @@ func vsbCh(t *testing.T, planes int, ewlr, rap, ddb bool) (*Channel, config.Cycl
 	return testChannel(t, config.VSB(planes, ewlr, rap, ddb, config.DefaultBusMHz))
 }
 
+// nextStep evaluates a transaction's next step afresh, walking to its
+// bank from the channel: the reference that memoized plans must match.
+func (ch *Channel) nextStep(t Target, write bool) Step {
+	return ch.stepFor(ch.ranks[t.Rank].groups[t.Group].banks[t.Bank], t, write)
+}
+
 // run drives a transaction to its column command, issuing every
 // preparatory step at its earliest cycle, and returns the issue cycle of
 // the column command plus the steps taken.

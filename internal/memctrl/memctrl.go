@@ -32,14 +32,18 @@ type Transaction struct {
 	// structurally via Controller.RestoreQueues' newTxn callback.
 	Done func(dataAt clock.Cycle)
 
-	// plan memoizes the transaction's next step and its earliest issue
-	// cycle across scans (dram.Channel.Plan). Enqueue and Restore clear
-	// it, since callers recycle Transactions.
+	// plan binds the transaction's DRAM target and memoizes its next
+	// step and that step's earliest issue cycle across scans
+	// (dram.Channel.Plan). Enqueue and Restore bind it afresh, since
+	// callers recycle Transactions; Write and Loc must not change while
+	// the transaction is queued.
 	plan dram.Memo
 }
 
-func (t *Transaction) target() dram.Target {
-	return dram.Target{Rank: t.Loc.Rank, Group: t.Loc.Group, Bank: t.Loc.Bank, Sub: t.Loc.Sub, Row: t.Loc.Row}
+// bind resets the plan memo to the transaction's target.
+func (t *Transaction) bind() {
+	l := t.Loc
+	t.plan.Reset(dram.Target{Rank: l.Rank, Group: l.Group, Bank: l.Bank, Sub: l.Sub, Row: l.Row}, t.Write)
 }
 
 // Stats aggregates controller-side metrics for one channel.
@@ -172,7 +176,7 @@ func (c *Controller) CanAccept(write bool) bool {
 // A read that matches a queued write is forwarded from the write queue
 // and completes immediately without a DRAM access.
 func (c *Controller) Enqueue(t *Transaction) {
-	t.plan = dram.Memo{}
+	t.bind()
 	c.idleUntil = 0 // the new transaction may issue at once
 	if t.Write {
 		c.writeQ = append(c.writeQ, t)
@@ -363,13 +367,13 @@ func (c *Controller) tryQueue(now clock.Cycle, q []*Transaction, write, allowAll
 	// (and row hits that cost nothing) may issue preparatory commands.
 	starved := now-q[0].Arrive > c.starveCK
 	first := -1
-	var firstStep dram.Step
+	var firstStep *dram.Step
 	for i := 0; i < limit; i++ {
 		t := q[i]
 		if !c.ch.Available(t.Loc.Rank, now) {
 			continue
 		}
-		step, e := c.ch.Plan(t.target(), t.Write, &t.plan)
+		step, e := c.ch.Plan(&t.plan)
 		if !step.Hit {
 			if !allowAll || (starved && i > 0) || first >= 0 {
 				continue
@@ -437,24 +441,20 @@ func (c *Controller) maybeClosePage(now clock.Cycle) bool {
 		return false
 	}
 	c.lastCloseScan = now
-	var chosen *dram.Command
+	var chosen dram.Command
+	found := false
 	c.ch.IdleOpenRows(now, idle, func(cmd dram.Command) {
-		if chosen != nil {
-			return
-		}
-		if c.hasQueuedFor(cmd) {
+		if found || c.hasQueuedFor(cmd) {
 			return
 		}
 		if c.ch.EarliestIssue(cmd) <= now {
-			cc := cmd
-			chosen = &cc
+			chosen, found = cmd, true
 		}
 	})
-	if chosen != nil {
-		c.ch.Issue(*chosen, now)
-		return true
+	if found {
+		c.ch.Issue(chosen, now)
 	}
-	return false
+	return found
 }
 
 // hasQueuedFor reports whether any queued transaction targets the open

@@ -5,7 +5,6 @@ import (
 
 	"eruca/internal/addrmap"
 	"eruca/internal/clock"
-	"eruca/internal/dram"
 	"eruca/internal/snapshot"
 )
 
@@ -143,7 +142,7 @@ func restoreTxnQueue(d *snapshot.Decoder,
 		if t == nil {
 			return nil, fmt.Errorf("memctrl: restore callback returned nil for %s-queue entry %d", qname(wantWrite), i)
 		}
-		t.plan = dram.Memo{}
+		t.bind()
 		q = append(q, t)
 	}
 	return q, nil

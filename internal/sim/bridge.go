@@ -43,9 +43,11 @@ type bridge struct {
 	// load completions. Waiters carry their core and a global
 	// registration sequence so checkpoints can re-link them to the
 	// owning core's in-flight reads on restore (closures themselves
-	// cannot serialize).
-	mshr      map[uint64][]waiter
-	waiterSeq uint64
+	// cannot serialize). waiterFree recycles the waiter lists of filled
+	// entries, so a miss allocates no list of its own.
+	mshr       map[uint64][]waiter
+	waiterSeq  uint64
+	waiterFree [][]waiter
 
 	// spill buffers dirty writebacks that did not fit in a write queue.
 	spill []uint64
@@ -114,10 +116,6 @@ func newBridge(sys *config.System, mapper *addrmap.Mapper, procs []*osmem.Proces
 	}
 }
 
-func (b *bridge) ctlFor(line uint64) *memctrl.Controller {
-	return b.ctls[b.mapper.Map(line<<b.lineShift).Channel]
-}
-
 // Access implements cpu.MemSystem.
 func (b *bridge) Access(core int, va uint64, write bool, done func()) (accept, pending bool, doneAt int64) {
 	// Give each core a disjoint virtual address space.
@@ -132,17 +130,16 @@ func (b *bridge) Access(core int, va uint64, write bool, done func()) (accept, p
 		return false, false, 0
 	}
 	line := pa >> b.lineShift
+	loc := b.mapper.Map(line << b.lineShift)
 
 	// Backpressure: a miss may need a read-queue slot and produce
 	// writebacks; refuse up front when either could overflow.
-	if len(b.spill) >= spillLimit || !b.ctlFor(line).CanAccept(false) {
+	if len(b.spill) >= spillLimit || !b.ctls[loc.Channel].CanAccept(false) {
 		return false, false, 0
 	}
 
 	out := b.caches.Access(core, line, write)
-	for _, wb := range out.Writebacks {
-		b.spill = append(b.spill, wb)
-	}
+	b.spill = append(b.spill, out.Writebacks()...)
 
 	// Join an outstanding fetch of the same line regardless of the
 	// cache's (already filled) view.
@@ -164,12 +161,17 @@ func (b *bridge) Access(core int, va uint64, write bool, done func()) (accept, p
 
 	// DRAM fetch (demand load or store write-allocate).
 	b.misses[core]++
-	b.mshr[line] = nil
+	var waiters []waiter
+	if n := len(b.waiterFree); n > 0 {
+		waiters = b.waiterFree[n-1]
+		b.waiterFree = b.waiterFree[:n-1]
+	}
 	if !write && done != nil {
 		b.waiterSeq++
-		b.mshr[line] = append(b.mshr[line], waiter{core: core, seq: b.waiterSeq, fn: done})
+		waiters = append(waiters, waiter{core: core, seq: b.waiterSeq, fn: done})
 	}
-	b.enqueue(line, false)
+	b.mshr[line] = waiters
+	b.enqueue(line, loc, false)
 	return true, !write, 0
 }
 
@@ -198,12 +200,11 @@ func (b *bridge) txnDone(pt *pooledTxn, dataAt clock.Cycle) {
 	b.txnFree = append(b.txnFree, pt)
 }
 
-// enqueue submits a line transaction to its channel controller. The
-// caller has verified capacity for reads; writes come from the spill
-// buffer which retries.
-func (b *bridge) enqueue(line uint64, write bool) {
+// enqueue submits a line transaction, mapped to loc, to its channel
+// controller. The caller has verified capacity for reads; writes come
+// from the spill buffer which retries.
+func (b *bridge) enqueue(line uint64, loc addrmap.Loc, write bool) {
 	pa := line << b.lineShift
-	loc := b.mapper.Map(pa)
 	ctl := b.ctls[loc.Channel]
 	pt := b.getTxn()
 	pt.line = line
@@ -217,12 +218,16 @@ func (b *bridge) enqueue(line uint64, write bool) {
 	}
 }
 
-// fill completes an outstanding line fetch, waking all coalesced loads.
+// fill completes an outstanding line fetch, waking all coalesced loads,
+// and recycles the entry's waiter list.
 func (b *bridge) fill(line uint64) {
 	waiters := b.mshr[line]
 	delete(b.mshr, line)
 	for _, w := range waiters {
 		w.fn()
+	}
+	if cap(waiters) > 0 {
+		b.waiterFree = append(b.waiterFree, waiters[:0])
 	}
 }
 
@@ -232,8 +237,8 @@ func (b *bridge) drainSpill() int {
 	moved := 0
 	kept := b.spill[:0]
 	for _, wb := range b.spill {
-		if b.ctlFor(wb).CanAccept(true) {
-			b.enqueue(wb, true)
+		if loc := b.mapper.Map(wb << b.lineShift); b.ctls[loc.Channel].CanAccept(true) {
+			b.enqueue(wb, loc, true)
 			moved++
 		} else {
 			kept = append(kept, wb)

@@ -44,9 +44,6 @@ func (s *Sampler) Reservoir(k int, seed int64) {
 	s.rng, s.src = rng.New(seed)
 }
 
-// Bounded reports whether the sampler is in reservoir mode.
-func (s *Sampler) Bounded() bool { return s.cap > 0 }
-
 // Add records a sample.
 func (s *Sampler) Add(v float64) {
 	s.n++
