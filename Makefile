@@ -100,6 +100,11 @@ chaos-mesh:
 # system that refuses, serves and delays at random, one that sleeps
 # while blocked and one that ticks in full every cycle, and requires the
 # same accesses at the same cycles and the same counters every cycle.
+# FuzzCacheReference feeds one random read/write stream to the flat
+# cache sets and to the line-struct reference model, and requires the
+# same outcomes, counters and snapshot bytes. FuzzMSHRTable runs random
+# puts, finds and removes on the bridge's open-addressed MSHR table and
+# on a Go map, and requires the same answers.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFaultPlan' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode' -fuzztime 10s ./internal/snapshot/
@@ -108,6 +113,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanMemo' -fuzztime 10s ./internal/dram/
 	$(GO) test -run '^$$' -fuzz 'FuzzIdleSkip' -fuzztime 10s ./internal/memctrl/
 	$(GO) test -run '^$$' -fuzz 'FuzzCoreSleep' -fuzztime 10s ./internal/cpu/
+	$(GO) test -run '^$$' -fuzz 'FuzzCacheReference' -fuzztime 10s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz 'FuzzMSHRTable' -fuzztime 10s ./internal/sim/
 
 # Determinism smoke of the autotuner: the same tiny 2-dim search
 # (successive halving over planes x ddb) run twice — once parallel,

@@ -50,15 +50,15 @@ func (o *Outcome) writeback(line uint64) {
 	o.nwb++
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
-}
-
+// setAssoc is one set-associative, LRU level. Its lines are stored
+// flat, way w of set s at index s*ways+w, in three parallel arrays, so
+// that a probe reads one set's tags from contiguous memory. Lines are
+// never invalidated, so an empty way is exactly a way never filled.
 type setAssoc struct {
-	sets    [][]line
+	tags    []uint64 // line address + 1; 0 marks an empty way
+	used    []uint64 // LRU tick stamp of the way's last fill or hit
+	dirty   []bool
+	ways    int
 	setMask uint64
 	tick    uint64
 
@@ -74,53 +74,64 @@ func newSetAssoc(bytes, ways, lineBytes int) (*setAssoc, error) {
 		return nil, fmt.Errorf("cache: set count %d (from %d bytes, %d ways, %d-byte lines) must be a positive power of two",
 			nsets, bytes, ways, lineBytes)
 	}
-	c := &setAssoc{setMask: uint64(nsets - 1)}
-	c.sets = make([][]line, nsets)
-	store := make([]line, nsets*ways)
-	for i := range c.sets {
-		c.sets[i], store = store[:ways], store[ways:]
+	return &setAssoc{
+		tags:    make([]uint64, nsets*ways),
+		used:    make([]uint64, nsets*ways),
+		dirty:   make([]bool, nsets*ways),
+		ways:    ways,
+		setMask: uint64(nsets - 1),
+	}, nil
+}
+
+// find returns the index of the way holding addr, or -1.
+func (c *setAssoc) find(addr uint64) int {
+	base := int(addr&c.setMask) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == addr+1 {
+			return base + i
+		}
 	}
-	return c, nil
+	return -1
 }
 
 // lookup probes for the line; on hit it refreshes LRU and optionally
 // marks dirty.
 func (c *setAssoc) lookup(addr uint64, markDirty bool) bool {
 	c.tick++
-	set := c.sets[addr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			set[i].used = c.tick
-			if markDirty {
-				set[i].dirty = true
-			}
-			c.hits++
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		c.misses++
+		return false
 	}
-	c.misses++
-	return false
+	c.used[i] = c.tick
+	if markDirty {
+		c.dirty[i] = true
+	}
+	c.hits++
+	return true
 }
 
-// fill inserts the line, evicting LRU; it returns the victim line
+// fill inserts the line into the first empty way of its set, or else
+// over the first way with the oldest stamp; it returns the victim line
 // address and whether it was dirty.
 func (c *setAssoc) fill(addr uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
 	c.tick++
-	set := c.sets[addr&c.setMask]
+	base := int(addr&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	used := c.used[base : base+len(tags)]
 	vi := 0
-	for i := range set {
-		if !set[i].valid {
+	for i, t := range tags {
+		if t == 0 {
 			vi = i
-			evicted = false
 			goto place
 		}
-		if set[i].used < set[vi].used {
+		if used[i] < used[vi] {
 			vi = i
 		}
 	}
-	victim, victimDirty, evicted = set[vi].tag, set[vi].dirty, true
+	victim, victimDirty, evicted = tags[vi]-1, c.dirty[base+vi], true
 place:
-	set[vi] = line{tag: addr, valid: true, dirty: dirty, used: c.tick}
+	tags[vi], used[vi], c.dirty[base+vi] = addr+1, c.tick, dirty
 	return victim, victimDirty, evicted
 }
 
@@ -129,27 +140,13 @@ place:
 // takes on its way down.
 func (c *setAssoc) absorb(addr uint64) bool {
 	c.tick++
-	set := c.sets[addr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			set[i].used = c.tick
-			set[i].dirty = true
-			return true
-		}
+	i := c.find(addr)
+	if i < 0 {
+		return false
 	}
-	return false
-}
-
-// invalidate drops the line if present, reporting whether it was dirty.
-func (c *setAssoc) invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	set := c.sets[addr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			set[i].valid = false
-			return set[i].dirty, true
-		}
-	}
-	return false, false
+	c.used[i] = c.tick
+	c.dirty[i] = true
+	return true
 }
 
 // Stats reports hit/miss counts of one level.

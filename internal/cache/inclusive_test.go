@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestInvalidate(t *testing.T) {
-	h := small()
-	h.Access(0, 7, true) // dirty in L1
-	if dirty, present := h.l1[0].invalidate(7); !present || !dirty {
-		t.Errorf("invalidate(7) = dirty %v present %v", dirty, present)
-	}
-	if _, present := h.l1[0].invalidate(7); present {
-		t.Error("double invalidate reported present")
-	}
-	// After invalidation the line re-misses in L1.
-	if out := h.Access(0, 7, false); out.Level == L1 {
-		t.Error("invalidated line hit L1")
-	}
-}
-
 // Two cores thrash one LLC set: the hierarchy stays consistent and
 // writebacks carry only lines that were written.
 func TestCrossCoreThrash(t *testing.T) {

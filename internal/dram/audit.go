@@ -1,7 +1,9 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"eruca/internal/clock"
 	"eruca/internal/config"
@@ -127,9 +129,11 @@ func (a *Auditor) Observe(c Command, at clock.Cycle) {
 	}
 	switch c.Kind {
 	case CmdPREA:
-		// Pre-refresh precharge-all: close every row of the rank.
-		for k, st := range a.open {
-			if k.rank == c.Rank && st.active {
+		// Pre-refresh precharge-all: every open row of the rank must
+		// meet what a PRE to it would, then closes.
+		for _, st := range a.rankRows(c.Rank) {
+			if st.active {
+				a.checkPrecharge(st, c, at)
 				st.active = false
 				st.preAt = at
 			}
@@ -137,6 +141,15 @@ func (a *Auditor) Observe(c Command, at clock.Cycle) {
 		a.history = append(a.history, AuditedCommand{c, at})
 		return
 	case CmdREF:
+		// Every row of the rank must be closed, at least tRP after the
+		// PRE or PREA that closed it.
+		for _, st := range a.rankRows(c.Rank) {
+			if st.active {
+				a.fail(at, "REF-on-open", "REF with row %#x open: %v", st.row, c)
+			} else if st.preAt != never && at-st.preAt < a.ct.RP {
+				a.fail(at, "tRP", "tRP violation: REF %d after PRE (need %d): %v", at-st.preAt, a.ct.RP, c)
+			}
+		}
 		// Refresh-interval accounting: consecutive REFs to one rank must
 		// stay within tREFI plus scheduling slack (the controller may defer
 		// a refresh behind open-row draining, but never a whole interval).
@@ -177,15 +190,7 @@ func (a *Auditor) Observe(c Command, at clock.Cycle) {
 		if !st.active {
 			a.fail(at, "PRE-on-closed", "PRE to closed slot %v", c)
 		}
-		if st.actAt != never && at-st.actAt < a.ct.RAS {
-			a.fail(at, "tRAS", "tRAS violation: PRE %d after ACT (need %d): %v", at-st.actAt, a.ct.RAS, c)
-		}
-		if st.lastRd != never && at-st.lastRd < a.ct.RTP {
-			a.fail(at, "tRTP", "tRTP violation: PRE %d after RD (need %d): %v", at-st.lastRd, a.ct.RTP, c)
-		}
-		if st.lastWr != never && at-st.lastWr < a.ct.CWL+a.ct.Burst+a.ct.WR {
-			a.fail(at, "tWR", "tWR violation: PRE %d after WR: %v", at-st.lastWr, c)
-		}
+		a.checkPrecharge(st, c, at)
 		st.active = false
 		st.preAt = at
 	case CmdRD, CmdWR:
@@ -204,6 +209,42 @@ func (a *Auditor) Observe(c Command, at clock.Cycle) {
 		}
 	}
 	a.history = append(a.history, AuditedCommand{c, at})
+}
+
+// checkPrecharge enforces the rules that close a row, for a PRE or a
+// PREA: tRAS after its ACT, tRTP after its last RD, tWR after its last
+// WR's data.
+func (a *Auditor) checkPrecharge(st *auditRow, c Command, at clock.Cycle) {
+	if st.actAt != never && at-st.actAt < a.ct.RAS {
+		a.fail(at, "tRAS", "tRAS violation: %v %d after ACT (need %d): %v", c.Kind, at-st.actAt, a.ct.RAS, c)
+	}
+	if st.lastRd != never && at-st.lastRd < a.ct.RTP {
+		a.fail(at, "tRTP", "tRTP violation: %v %d after RD (need %d): %v", c.Kind, at-st.lastRd, a.ct.RTP, c)
+	}
+	if st.lastWr != never && at-st.lastWr < a.ct.CWL+a.ct.Burst+a.ct.WR {
+		a.fail(at, "tWR", "tWR violation: %v %d after WR: %v", c.Kind, at-st.lastWr, c)
+	}
+}
+
+// rankRows returns the tracked row slots of one rank in a fixed order
+// (group, bank, sub-bank, slot), so that the violations a PREA or REF
+// raises come out deterministically.
+func (a *Auditor) rankRows(rank int) []*auditRow {
+	var keys []auditKey
+	for k := range a.open {
+		if k.rank == rank {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(x, y auditKey) int {
+		return cmp.Or(cmp.Compare(x.group, y.group), cmp.Compare(x.bank, y.bank),
+			cmp.Compare(x.sub, y.sub), cmp.Compare(x.slot, y.slot))
+	})
+	rows := make([]*auditRow, len(keys))
+	for i, k := range keys {
+		rows[i] = a.open[k]
+	}
+	return rows
 }
 
 // checkActRate enforces tRRD and tFAW per rank over the history.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"eruca/internal/clock"
 	"eruca/internal/config"
 )
 
@@ -203,4 +204,134 @@ func TestChannelNeverViolatesAudit(t *testing.T) {
 			t.Errorf("%s: %d violations, first: %s", sys.Name, len(v), v[0])
 		}
 	}
+}
+
+// refreshChannel is a refresh-enabled one-rank channel with an attached
+// auditor.
+func refreshChannel(t *testing.T, sys *config.System) (*Channel, *Auditor) {
+	t.Helper()
+	sys.Ctrl.RefreshEnabled = true
+	ch := NewChannel(sys, sys.Geom.RowBits)
+	a := NewAuditor(sys)
+	ch.Attach(a)
+	return ch, a
+}
+
+// refreshUntilREF runs MaintainRefresh every cycle from `from` until
+// the rank has refreshed once.
+func refreshUntilREF(t *testing.T, ch *Channel, from clock.Cycle) {
+	t.Helper()
+	for now := from; ch.Stats.Refreshes == 0; now++ {
+		if now > from+100_000 {
+			t.Fatal("no REF within 100,000 cycles")
+		}
+		ch.MaintainRefresh(now)
+	}
+}
+
+// replayRules feeds events to a fresh auditor with the i-th moved by
+// delta cycles and returns the rules it flags.
+func replayRules(sys *config.System, events []AuditedCommand, i int, delta clock.Cycle) []string {
+	a := NewAuditor(sys)
+	for j, ev := range events {
+		if j == i {
+			ev.At += delta
+		}
+		a.Observe(ev.Cmd, ev.At)
+	}
+	var rules []string
+	for _, v := range a.Structured() {
+		rules = append(rules, v.Rule)
+	}
+	return rules
+}
+
+func eventIndex(events []AuditedCommand, k CmdKind) int {
+	for i, ev := range events {
+		if ev.Cmd.Kind == k {
+			return i
+		}
+	}
+	return -1
+}
+
+// REF waits tRP after every PRE, not only after the rank's own PREA,
+// and PREA waits on every open row as a PRE to it would. The refresh
+// falls due at tREFI (10,400 cycles at 1,333 MHz); the auditor must
+// flag a REF or PREA one cycle earlier than the engine issues it.
+func TestAuditorRefreshTiming(t *testing.T) {
+	sys := config.Baseline(1333)
+	ct := sys.CT
+	due := ct.REFI
+
+	// The last open row closes by PRE one cycle before the refresh is
+	// due: REF must still wait tRP after that PRE.
+	t.Run("PRE-then-REF", func(t *testing.T) {
+		ch, a := refreshChannel(t, sys)
+		issueAt(t, ch, cmd(CmdACT, 0, 7), 0)
+		issueAt(t, ch, cmd(CmdPRE, 0, 7), due-1)
+		refreshUntilREF(t, ch, due)
+		events := a.Events()
+		ref := eventIndex(events, CmdREF)
+		if at := events[ref].At; at != due-1+ct.RP {
+			t.Errorf("REF at %d, want tRP = %d after the PRE at %d", at, ct.RP, due-1)
+		}
+		if v := a.Violations(); len(v) != 0 {
+			t.Fatalf("engine's refresh flagged: %v", v)
+		}
+		for _, at := range []clock.Cycle{due, due - 1 + ct.RP - 1} {
+			rules := replayRules(sys, events, ref, at-events[ref].At)
+			if len(rules) != 1 || rules[0] != "tRP" {
+				t.Errorf("REF at %d: rules %v, want [tRP]", at, rules)
+			}
+		}
+	})
+
+	// A row still open when the refresh falls due is closed by PREA at
+	// the first cycle its tRAS, tRTP or tWR allows, and REF follows
+	// tRP later.
+	for _, c := range []struct {
+		last CmdKind
+		rule string
+	}{{CmdACT, "tRAS"}, {CmdRD, "tRTP"}, {CmdWR, "tWR"}} {
+		t.Run(c.last.String()+"-then-PREA", func(t *testing.T) {
+			ch, a := refreshChannel(t, sys)
+			var last, bound clock.Cycle
+			if c.last == CmdACT {
+				last = issueAt(t, ch, cmd(CmdACT, 0, 7), due-5)
+				bound = last + ct.RAS
+			} else {
+				issueAt(t, ch, cmd(CmdACT, 0, 7), due-400)
+				last = issueAt(t, ch, cmd(c.last, 0, 7), due-2)
+				bound = last + ct.RTP
+				if c.last == CmdWR {
+					bound = last + ct.CWL + ct.Burst + ct.WR
+				}
+			}
+			refreshUntilREF(t, ch, last+1)
+			events := a.Events()
+			prea, ref := eventIndex(events, CmdPREA), eventIndex(events, CmdREF)
+			if prea < 0 || events[prea].At != bound {
+				t.Fatalf("PREA event %d, want one at %d: %v", prea, bound, events)
+			}
+			if events[ref].At != bound+ct.RP {
+				t.Errorf("REF at %d, want tRP after the PREA at %d", events[ref].At, bound)
+			}
+			if v := a.Violations(); len(v) != 0 {
+				t.Fatalf("engine's refresh flagged: %v", v)
+			}
+			if rules := replayRules(sys, events, prea, -1); len(rules) != 1 || rules[0] != c.rule {
+				t.Errorf("PREA one cycle early: rules %v, want [%s]", rules, c.rule)
+			}
+		})
+	}
+
+	t.Run("REF-on-open", func(t *testing.T) {
+		a := NewAuditor(sys)
+		a.Observe(cmd(CmdACT, 0, 7), 0)
+		a.Observe(Command{Kind: CmdREF}, 1000)
+		if v := a.Structured(); len(v) != 1 || v[0].Rule != "REF-on-open" {
+			t.Errorf("REF with an open row: %v, want [REF-on-open]", v)
+		}
+	})
 }

@@ -70,8 +70,11 @@ type bank struct {
 	// colCount counts column commands served, for utilization profiles.
 	colCount uint64
 
-	// ver is the bank's Plan stamp: every command to the bank moves it.
-	ver uint64
+	// Plan stamps. rowVer moves on every ACT and PRE to the bank, the
+	// only commands that change the row slots its Fig. 5 steps read;
+	// ver moves on every command to the bank, since each one changes
+	// timing state of the bank that its commands read.
+	rowVer, ver uint64
 }
 
 // group is one bank group with its shared chip-global bus resources.

@@ -298,6 +298,7 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 		rk.faw[rk.fawIdx] = now
 		rk.fawIdx = (rk.fawIdx + 1) % len(rk.faw)
 		rk.actVer++
+		bk.rowVer++
 		sb.openCount++
 		rk.openSubs++
 		ch.Stats.Acts++
@@ -322,6 +323,7 @@ func (ch *Channel) Issue(c Command, now clock.Cycle) {
 		slot.rdyAct = maxc(slot.rdyAct, now+ch.ct.RP)
 		slot.rdyCol = never
 		slot.rdyPre = never
+		bk.rowVer++
 		sb.openCount--
 		rk.openSubs--
 		ch.Stats.Pres++
@@ -408,8 +410,9 @@ func (ch *Channel) Available(rankID int, now clock.Cycle) bool {
 
 // MaintainRefresh advances per-rank refresh state. The controller calls
 // it once per cycle before scheduling. While a refresh is pending the
-// rank stops accepting commands, open rows are precharged with PREA, and
-// REF blocks the rank for tRFC.
+// rank stops accepting commands, open rows are precharged with PREA
+// once each meets tRAS, tRTP and tWR, and REF, issued once every row is
+// tRP past the PRE or PREA that closed it, blocks the rank for tRFC.
 func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 	if !ch.sys.Ctrl.RefreshEnabled {
 		return
@@ -476,12 +479,9 @@ func (ch *Channel) MaintainRefresh(now clock.Cycle) {
 			}
 			continue
 		}
-		// All closed: REF once tRP from PREA has elapsed.
-		refAt := clock.Cycle(0)
-		if rk.preaAt != never {
-			refAt = rk.preaAt + ch.ct.RP
-		}
-		if now >= refAt {
+		// All closed: REF once every slot is tRP past the PRE or PREA
+		// that closed it.
+		if now >= refReady(rk) {
 			rk.observe(now, &ch.Stats)
 			rk.blockedUntil = now + ch.ct.RFC
 			rk.nextRefresh += ch.ct.REFI
@@ -505,7 +505,7 @@ const farFuture = clock.Cycle(1) << 60
 // NextRefreshEvent reports a lower bound (strictly after now) on the
 // next cycle at which MaintainRefresh would change rank state: a refresh
 // falling due, the pre-refresh PREA becoming legal, REF becoming legal
-// tRP after PREA, or a tRFC blackout ending. It mirrors the
+// tRP after the last PRE or PREA, or a tRFC blackout ending. It mirrors the
 // MaintainRefresh decision tree without mutating state, so the run loop
 // can fast-forward quiescent windows without perturbing the refresh
 // command stream.
@@ -548,13 +548,26 @@ func (ch *Channel) NextRefreshEvent(now clock.Cycle) clock.Cycle {
 			upd(ready)
 			continue
 		}
-		refAt := clock.Cycle(0)
-		if rk.preaAt != never {
-			refAt = rk.preaAt + ch.ct.RP
-		}
-		upd(refAt)
+		upd(refReady(rk))
 	}
 	return next
+}
+
+// refReady reports the first cycle at which the rank, all rows closed,
+// can take REF: the latest rdyAct of its slots, since a slot's rdyAct
+// holds tRP after its last PRE or PREA.
+func refReady(rk *rank) clock.Cycle {
+	ready := clock.Cycle(0)
+	for _, g := range rk.groups {
+		for _, b := range g.banks {
+			for _, s := range b.subs {
+				for i := range s.slots {
+					ready = maxc(ready, s.slots[i].rdyAct)
+				}
+			}
+		}
+	}
+	return ready
 }
 
 // Finish integrates background-energy accounting up to the given cycle.

@@ -35,7 +35,7 @@ type Memo struct {
 	gp *group
 	bk *bank // nil while the Memo holds no answer
 
-	bankVer, refVer, actVer, colVer uint64
+	rowVer, bankVer, refVer, actVer, colVer uint64
 
 	step Step
 	at   clock.Cycle
@@ -54,8 +54,10 @@ func (m *Memo) Reset(t Target, write bool) { *m = Memo{t: t, write: write} }
 // equals a fresh evaluation. Each stamp covers exactly the state one
 // kind of command reads:
 //
-//   - the bank stamp, moved by every command to the bank: its row
-//     slots, plane latches, MASA selector, tCCD_L and tWTR_L bases;
+//   - the bank's row stamp, moved by every ACT and PRE to the bank:
+//     its row slots and so its plane latches;
+//   - the bank stamp, moved by every command to the bank: the slots'
+//     timing, the MASA selector, the tCCD_L and tWTR_L bases;
 //   - the rank's refresh stamp, moved when a refresh falls due, at PREA
 //     and at REF, and read by every command;
 //   - the rank's ACT stamp, moved by every ACT to the rank and read only
@@ -64,18 +66,20 @@ func (m *Memo) Reset(t Target, write bool) { *m = Memo{t: t, write: write} }
 //     RD/WR (tCCD_S, the data bus and its turnaround, the bank-group
 //     tCCD_L/tWTR_L and DDB windows, the rank's tWTR_S base).
 //
-// The Fig. 5 step reads only the bank's own slots (and the refresh
-// PREA that closes them), so the bank and refresh stamps re-plan it.
-// The ACT and column stamps cover timing state alone: when only they
-// have moved, Plan keeps the step and re-times it.
+// The Fig. 5 step reads only the bank's row slots (and the refresh
+// PREA that closes them), so the row and refresh stamps re-plan it. The
+// other stamps cover timing state alone: when only they have moved,
+// Plan keeps the step and re-times it. A RD or WR therefore re-times
+// the plans of its bank and never re-plans them.
 func (ch *Channel) Plan(m *Memo) (*Step, clock.Cycle) {
 	switch {
-	case m.bk == nil || m.bankVer != m.bk.ver || m.refVer != m.rk.refVer:
+	case m.bk == nil || m.rowVer != m.bk.rowVer || m.refVer != m.rk.refVer:
 		ch.replan(m)
-	case m.step.Cmd.Kind == CmdACT && m.actVer != m.rk.actVer,
+	case m.bankVer != m.bk.ver,
+		m.step.Cmd.Kind == CmdACT && m.actVer != m.rk.actVer,
 		m.step.Column && m.colVer != ch.colVer:
 		m.at = ch.earliest(&m.step.Cmd, m.rk, m.gp, m.bk)
-		m.actVer, m.colVer = m.rk.actVer, ch.colVer
+		m.bankVer, m.actVer, m.colVer = m.bk.ver, m.rk.actVer, ch.colVer
 	}
 	return &m.step, m.at
 }
@@ -89,7 +93,7 @@ func (ch *Channel) replan(m *Memo) {
 	m.step = ch.stepFor(bk, m.t, m.write)
 	m.at = ch.earliest(&m.step.Cmd, rk, gp, bk)
 	m.rk, m.gp, m.bk = rk, gp, bk
-	m.bankVer, m.refVer, m.actVer, m.colVer = bk.ver, rk.refVer, rk.actVer, ch.colVer
+	m.rowVer, m.bankVer, m.refVer, m.actVer, m.colVer = bk.rowVer, bk.ver, rk.refVer, rk.actVer, ch.colVer
 }
 
 // invalidatePlans makes every Memo of the channel stale, for state that

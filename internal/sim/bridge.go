@@ -45,7 +45,7 @@ type bridge struct {
 	// owning core's in-flight reads on restore (closures themselves
 	// cannot serialize). waiterFree recycles the waiter lists of filled
 	// entries, so a miss allocates no list of its own.
-	mshr       map[uint64][]waiter
+	mshr       mshrTable
 	waiterSeq  uint64
 	waiterFree [][]waiter
 
@@ -109,7 +109,7 @@ func newBridge(sys *config.System, mapper *addrmap.Mapper, procs []*osmem.Proces
 		ctls:      ctls,
 		ratio:     int64(sys.CPU.ClockRatio),
 		busNS:     sys.Bus.PeriodNS(),
-		mshr:      make(map[uint64][]waiter),
+		mshr:      newMSHRTable(len(ctls) * sys.Ctrl.ReadQueueDepth),
 		capture:   capture,
 		lineShift: ls,
 		misses:    make([]uint64, sys.CPU.Cores),
@@ -143,12 +143,12 @@ func (b *bridge) Access(core int, va uint64, write bool, done func()) (accept, p
 
 	// Join an outstanding fetch of the same line regardless of the
 	// cache's (already filled) view.
-	if waiters, inflight := b.mshr[line]; inflight {
+	if waiters := b.mshr.find(line); waiters != nil {
 		if write {
 			return true, false, 0
 		}
 		b.waiterSeq++
-		b.mshr[line] = append(waiters, waiter{core: core, seq: b.waiterSeq, fn: done})
+		*waiters = append(*waiters, waiter{core: core, seq: b.waiterSeq, fn: done})
 		return true, true, 0
 	}
 
@@ -170,7 +170,7 @@ func (b *bridge) Access(core int, va uint64, write bool, done func()) (accept, p
 		b.waiterSeq++
 		waiters = append(waiters, waiter{core: core, seq: b.waiterSeq, fn: done})
 	}
-	b.mshr[line] = waiters
+	b.mshr.put(line, waiters)
 	b.enqueue(line, loc, false)
 	return true, !write, 0
 }
@@ -221,8 +221,7 @@ func (b *bridge) enqueue(line uint64, loc addrmap.Loc, write bool) {
 // fill completes an outstanding line fetch, waking all coalesced loads,
 // and recycles the entry's waiter list.
 func (b *bridge) fill(line uint64) {
-	waiters := b.mshr[line]
-	delete(b.mshr, line)
+	waiters := b.mshr.remove(line)
 	for _, w := range waiters {
 		w.fn()
 	}

@@ -118,7 +118,7 @@ func TestSpillBackpressure(t *testing.T) {
 func TestEventFiring(t *testing.T) {
 	br, _ := testBridge(t)
 	fired := 0
-	br.mshr[0x42] = append(br.mshr[0x42], waiter{fn: func() { fired++ }})
+	br.mshr.put(0x42, []waiter{{fn: func() { fired++ }}})
 	br.pushEvent(5, 0x42)
 	if at, ok := br.nextEventAt(); !ok || at != 5 {
 		t.Fatalf("nextEventAt = %d,%v, want 5,true", at, ok)
@@ -141,7 +141,7 @@ func TestEventOrdering(t *testing.T) {
 	var order []uint64
 	for _, ln := range []uint64{10, 11, 12} {
 		l := ln
-		br.mshr[l] = append(br.mshr[l], waiter{fn: func() { order = append(order, l) }})
+		br.mshr.put(l, []waiter{{fn: func() { order = append(order, l) }}})
 	}
 	br.pushEvent(7, 11)
 	br.pushEvent(3, 10)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"eruca/internal/addrmap"
@@ -229,17 +230,18 @@ func (b *bridge) snapshot(e *snapshot.Encoder) {
 	}
 	e.U64(b.eventSeq)
 
-	lines := make([]uint64, 0, len(b.mshr))
-	for line := range b.mshr {
-		lines = append(lines, line)
+	entries := make([]*mshrSlot, 0, b.mshr.len())
+	for i := range b.mshr.slots {
+		if b.mshr.slots[i].key != 0 {
+			entries = append(entries, &b.mshr.slots[i])
+		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	e.Int(len(lines))
-	for _, line := range lines {
-		e.U64(line)
-		ws := b.mshr[line]
-		e.Int(len(ws))
-		for _, w := range ws {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	e.Int(len(entries))
+	for _, s := range entries {
+		e.U64(s.key - 1)
+		e.Int(len(s.waiters))
+		for _, w := range s.waiters {
 			e.Int(w.core)
 			e.U64(w.seq)
 		}
@@ -274,7 +276,7 @@ func (b *bridge) restore(d *snapshot.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	b.mshr = make(map[uint64][]waiter, nl)
+	b.mshr.clear()
 	prevLine := uint64(0)
 	for i := 0; i < nl; i++ {
 		line := d.U64()
@@ -285,6 +287,9 @@ func (b *bridge) restore(d *snapshot.Decoder) error {
 		if i > 0 && line <= prevLine {
 			return fmt.Errorf("sim: snapshot MSHR lines out of order")
 		}
+		if line == math.MaxUint64 {
+			return fmt.Errorf("sim: snapshot MSHR line %#x out of range", line)
+		}
 		prevLine = line
 		ws := make([]waiter, 0, nw)
 		for j := 0; j < nw; j++ {
@@ -294,7 +299,7 @@ func (b *bridge) restore(d *snapshot.Decoder) error {
 			}
 			ws = append(ws, w)
 		}
-		b.mshr[line] = ws
+		b.mshr.put(line, ws)
 	}
 	b.waiterSeq = d.U64()
 
@@ -326,16 +331,11 @@ func (b *bridge) restore(d *snapshot.Decoder) error {
 // registration order while consuming each core's pending completions in
 // program order reproduces every binding.
 func (rs *runState) relinkWaiters() error {
-	type ref struct {
-		line uint64
-		idx  int
-		core int
-		seq  uint64
-	}
-	var refs []ref
-	for line, ws := range rs.br.mshr {
-		for i, w := range ws {
-			refs = append(refs, ref{line: line, idx: i, core: w.core, seq: w.seq})
+	var refs []*waiter
+	for i := range rs.br.mshr.slots {
+		ws := rs.br.mshr.slots[i].waiters
+		for j := range ws {
+			refs = append(refs, &ws[j])
 		}
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].seq < refs[j].seq })
@@ -349,7 +349,7 @@ func (rs *runState) relinkWaiters() error {
 		if cursor[r.core] >= len(pending[r.core]) {
 			return fmt.Errorf("sim: snapshot has more MSHR waiters for core %d than pending reads", r.core)
 		}
-		rs.br.mshr[r.line][r.idx].fn = pending[r.core][cursor[r.core]]
+		r.fn = pending[r.core][cursor[r.core]]
 		cursor[r.core]++
 	}
 	for i := range cursor {
